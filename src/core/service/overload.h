@@ -107,15 +107,13 @@ struct OverloadConfig {
   std::chrono::milliseconds control_interval{100};
   /// Accuracy-bounded brownout: under sustained overload, price
   /// kBatch-class requests on a cheaper configuration (the target's
-  /// single-precision sibling where one exists, at brownout_steps lattice
-  /// steps), stamping Quote::browned_out and the measured RMSE bound.
+  /// single-precision sibling where one exists, at half the service's
+  /// lattice steps, never below 2), stamping Quote::browned_out and the
+  /// measured RMSE bound.
   /// Off by default, like degrade_to_cpu: browned-out prices are NOT
   /// bit-identical to the full-fidelity path, so parity-sensitive callers
   /// must opt in. Requires enabled().
   bool brownout = false;
-  /// Lattice steps for the brownout configuration; 0 = half the service's
-  /// configured steps (never below 2).
-  std::size_t brownout_steps = 0;
 
   /// True when any overload machinery is armed.
   [[nodiscard]] bool enabled() const {

@@ -1,9 +1,7 @@
 #include "core/service/pricing_service.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <exception>
 #include <sstream>
 #include <utility>
@@ -37,25 +35,6 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point from,
 /// one can delay progress.
 constexpr std::chrono::milliseconds kIdleNap{2};
 constexpr std::chrono::milliseconds kBackpressureNap{1};
-
-/// The lock-free ring's physical capacity: next power of two covering
-/// queue_capacity, raisable via BINOPT_SERVICE_RING_CAPACITY (strictly
-/// validated — a typo'd knob must fail loudly, not silently misconfigure
-/// the spine). The admission credit still bounds logical occupancy to
-/// queue_capacity.
-std::size_t ring_capacity_for(std::size_t queue_capacity) {
-  std::size_t want = queue_capacity;
-  if (const char* env = std::getenv("BINOPT_SERVICE_RING_CAPACITY")) {
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(env, &end, 10);
-    BINOPT_REQUIRE(end != env && *end == '\0' && errno == 0 && parsed >= 1,
-                   "BINOPT_SERVICE_RING_CAPACITY must be a positive "
-                   "integer, got '", env, "'");
-    want = std::max<std::size_t>(want, static_cast<std::size_t>(parsed));
-  }
-  return service::next_pow2(want);
-}
 
 /// RAII registration of a submitter inside admission; the destructor
 /// spins on this count so no push can land after teardown.
@@ -164,10 +143,10 @@ PricingService::PricingService(ServiceConfig config)
     controller_.emplace(config_.overload, config_.queue_capacity);
   }
 
-  const std::size_t ring_capacity = ring_capacity_for(config_.queue_capacity);
-  if (config_.hot_path == HotPath::kLockFree && !router_.has_value()) {
-    ring_.emplace(ring_capacity);
-  }
+  // The admission credit, not the ring's rounded-up size, bounds the
+  // logical occupancy to queue_capacity.
+  const std::size_t ring_capacity = service::next_pow2(config_.queue_capacity);
+  if (!router_.has_value()) ring_.emplace(ring_capacity);
   // Arena bound: everything that can hold a slot at once — the queued
   // population, every worker's in-flight batch, and a margin of
   // submitters blocked mid-admission. Past the bound, acquire() waits for
@@ -228,20 +207,10 @@ PricingService::~PricingService() {
     }
     worker->routed_queue.clear();
   }
-  if (ring_.has_value()) {
-    while (ring_->try_pop(request)) {
-      queue_count_.fetch_sub(1, std::memory_order_acq_rel);
-      fail(*request, error);
-      release_request(request);
-    }
-  } else {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
-    for (Request* r : mutex_queue_) {
-      queue_count_.fetch_sub(1, std::memory_order_acq_rel);
-      fail(*r, error);
-      release_request(r);
-    }
-    mutex_queue_.clear();
+  while (ring_.has_value() && ring_->try_pop(request)) {
+    queue_count_.fetch_sub(1, std::memory_order_acq_rel);
+    fail(*request, error);
+    release_request(request);
   }
   {
     const std::lock_guard<std::mutex> lock(retry_mutex_);
@@ -254,65 +223,82 @@ PricingService::~PricingService() {
   }
 }
 
-void PricingService::fulfil(Request& request, double price, Target target,
-                            Target routed_target, bool from_cache,
-                            bool degraded, bool browned_out,
-                            double accuracy_bound) {
+void PricingService::fulfil(Request& request, const Quote& quote) {
   if (request.resolved) return;  // at-most-once, by construction
   request.resolved = true;
-  switch (request.sink) {
-    case SinkKind::kSingle:
-      request.single->set_value(Quote{price, target, routed_target, from_cache,
-                                      degraded, browned_out, accuracy_bound});
-      return;
-    case SinkKind::kBatch: {
-      BatchState& batch = *request.batch;
-      batch.results[request.index] = price;
-      // The last element to resolve publishes the whole vector; if any
-      // element failed, the batch promise already carries that exception.
-      if (batch.remaining.fetch_sub(1) == 1 && !batch.failed.load()) {
-        batch.promise.set_value(std::move(batch.results));
-      }
-      return;
-    }
-    case SinkKind::kSync: {
-      SyncGroup& group = *request.sync;
-      const std::lock_guard<std::mutex> lock(group.mutex);
-      group.out[request.index] = price;
-      if (--group.remaining == 0) group.cv.notify_all();
-      return;
-    }
+  Sink& sink = *request.sink;
+  if (sink.quotes != nullptr) {
+    sink.quotes[request.index] = quote;
+  } else {
+    sink.prices[request.index] = quote.price;
   }
+  count_down(sink, 1);
 }
 
 void PricingService::fail(Request& request, const std::exception_ptr& error) {
   if (request.resolved) return;  // at-most-once, by construction
   request.resolved = true;
-  switch (request.sink) {
-    case SinkKind::kSingle:
-      request.single->set_exception(error);
-      return;
-    case SinkKind::kBatch: {
-      BatchState& batch = *request.batch;
-      // First failure wins the batch promise; later outcomes only count
-      // down.
-      if (!batch.failed.exchange(true)) {
-        batch.promise.set_exception(error);
-      }
-      batch.remaining.fetch_sub(1);
-      return;
+  fail_sink(*request.sink, error, 1);
+}
+
+void PricingService::fail_sink(Sink& sink, const std::exception_ptr& error,
+                               std::size_t n) {
+  // First failure wins; later outcomes only count down.
+  if (!sink.failed.exchange(true)) {
+    sink.error = error;
+  }
+  count_down(sink, n);
+}
+
+void PricingService::count_down(Sink& sink, std::size_t n) {
+  // Every element's write (price or first error) happens-before the last
+  // count-down, which alone reads them.
+  if (sink.remaining.fetch_sub(n) != n) return;
+  const bool failed = sink.failed.load();
+  if (sink.quote_promise) {
+    if (failed) {
+      sink.quote_promise->set_exception(sink.error);
+    } else {
+      sink.quote_promise->set_value(sink.quote);
     }
-    case SinkKind::kSync: {
-      SyncGroup& group = *request.sync;
-      const std::lock_guard<std::mutex> lock(group.mutex);
-      if (!group.failed) {
-        group.failed = true;
-        group.error = error;
-      }
-      if (--group.remaining == 0) group.cv.notify_all();
-      return;
+    sink.quote_promise.reset();
+  } else if (sink.batch_promise) {
+    if (failed) {
+      sink.batch_promise->set_exception(sink.error);
+    } else {
+      sink.batch_promise->set_value(std::move(sink.results));
+    }
+    sink.batch_promise.reset();
+  } else {
+    // Stack sink: wake the blocked caller. Notify under the lock — the
+    // sink dies with the caller's frame right after it sees `done`.
+    const std::lock_guard<std::mutex> lock(sink.mutex);
+    sink.done = true;
+    sink.cv.notify_all();
+    return;
+  }
+  sink.results = std::vector<double>();
+  sink.error = nullptr;
+  sink.failed.store(false);
+  const std::lock_guard<std::mutex> lock(sink_mutex_);
+  free_sinks_.push_back(&sink);
+}
+
+PricingService::Sink& PricingService::lease_sink(std::size_t n) {
+  Sink* sink = nullptr;
+  {
+    const std::lock_guard<std::mutex> lock(sink_mutex_);
+    if (free_sinks_.empty()) {
+      sink = &sink_storage_.emplace_back();
+    } else {
+      sink = free_sinks_.back();
+      free_sinks_.pop_back();
     }
   }
+  sink->prices = nullptr;
+  sink->quotes = nullptr;
+  sink->remaining.store(n);
+  return *sink;
 }
 
 void PricingService::check_admissible(const finance::OptionSpec& spec) {
@@ -349,34 +335,8 @@ std::chrono::steady_clock::time_point PricingService::deadline_for(
                       : std::chrono::steady_clock::time_point{};
 }
 
-void PricingService::init_request(
-    Request& request, const finance::OptionSpec& spec,
-    std::chrono::steady_clock::time_point deadline, bool has_deadline,
-    std::chrono::steady_clock::time_point admitted_at,
-    std::uint32_t cache_tag, Priority priority) {
-  request.spec = spec;
-  request.cache_tag = cache_tag;
-  request.priority = priority;
-  request.deadline = deadline;
-  request.admitted_at = admitted_at;
-  request.has_deadline = has_deadline;
-  request.attempts = 0;
-  request.ready_at = {};
-  request.has_ready_at = false;
-  request.resolved = false;
-  request.routed_worker = 0;
-  request.has_route = false;
-  request.sink = SinkKind::kSingle;
-  request.single.reset();
-  request.batch.reset();
-  request.sync = nullptr;
-  request.index = 0;
-}
-
 void PricingService::release_request(Request* request) {
-  request->single.reset();
-  request->batch.reset();
-  request->sync = nullptr;
+  request->sink = nullptr;
   request->resolved = false;
   arena_->release(request);
 }
@@ -390,31 +350,15 @@ std::future<Quote> PricingService::submit(const finance::OptionSpec& spec,
                                           std::uint32_t cache_tag,
                                           Priority priority) {
   check_admissible(spec);
-  bool has_deadline = false;
-  const auto deadline = deadline_for(timeout, has_deadline);
-  Request* request = arena_->acquire();
-  init_request(*request, spec, deadline, has_deadline,
-               std::chrono::steady_clock::now(), cache_tag, priority);
-  request->single.emplace();
-  std::future<Quote> future = request->single->get_future();
-  // After a successful admission the slot belongs to the workers (it may
-  // resolve and recycle before we return) — hence the future is taken
-  // first and the pointer is dead to us past this call. An admission
-  // timeout is settled inside enqueue_requests and counts as consumed,
-  // so the future then already carries ServiceTimeoutError.
-  AdmitOutcome abort;
-  if (enqueue_requests(&request, 1, &abort) != 1) {
-    if (abort.result == AdmitResult::kShed) {
-      const ServiceOverloadError error =
-          make_shed_error(priority, abort.occupancy, abort.threshold);
-      fail(*request, std::make_exception_ptr(error));
-      release_request(request);
-      throw error;
-    }
-    fail(*request, std::make_exception_ptr(ServiceShutdownError(
-                       "pricing service is shutting down")));
-    release_request(request);
-    throw ServiceShutdownError("pricing service is shutting down");
+  Sink& sink = lease_sink(1);
+  sink.quotes = &sink.quote;
+  sink.quote_promise.emplace();
+  // Taken first: once admitted, the sink may settle and recycle before
+  // admit() returns.
+  std::future<Quote> future = sink.quote_promise->get_future();
+  if (const auto refusal =
+          admit(&spec, 1, sink, timeout, cache_tag, priority)) {
+    std::rethrow_exception(refusal);
   }
   return future;
 }
@@ -428,51 +372,23 @@ std::future<std::vector<double>> PricingService::submit_batch(
     const std::vector<finance::OptionSpec>& specs,
     std::chrono::milliseconds timeout, std::uint32_t cache_tag,
     Priority priority) {
-  auto state = std::make_shared<BatchState>(specs.size());
-  std::future<std::vector<double>> future = state->promise.get_future();
   if (specs.empty()) {
-    state->promise.set_value({});
-    return future;
+    std::promise<std::vector<double>> empty;
+    empty.set_value({});
+    return empty.get_future();
   }
-  // Validate before leasing any slot, so a rejected spec leaks nothing.
+  // Validate before leasing anything, so a rejected spec leaks nothing.
   for (const finance::OptionSpec& spec : specs) check_admissible(spec);
-  bool has_deadline = false;
-  const auto deadline = deadline_for(timeout, has_deadline);
-  const auto admitted_at = std::chrono::steady_clock::now();
-  std::vector<Request*> requests;
-  requests.reserve(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    Request* request = arena_->acquire();
-    init_request(*request, specs[i], deadline, has_deadline, admitted_at,
-                 cache_tag, priority);
-    request->sink = SinkKind::kBatch;
-    request->batch = state;
-    request->index = i;
-    requests.push_back(request);
+  Sink& sink = lease_sink(specs.size());
+  sink.results.assign(specs.size(), 0.0);
+  sink.prices = sink.results.data();
+  sink.batch_promise.emplace();
+  std::future<std::vector<double>> future = sink.batch_promise->get_future();
+  if (const auto refusal = admit(specs.data(), specs.size(), sink, timeout,
+                                 cache_tag, priority)) {
+    std::rethrow_exception(refusal);
   }
-  AdmitOutcome abort;
-  const std::size_t consumed =
-      enqueue_requests(requests.data(), requests.size(), &abort);
-  if (consumed == requests.size()) return future;
-  // Shutdown or a shed interrupted admission: resolve the untouched tail
-  // so the caller's future never dangles, then surface the typed error.
-  if (abort.result == AdmitResult::kShed) {
-    const ServiceOverloadError shed =
-        make_shed_error(priority, abort.occupancy, abort.threshold);
-    const auto error = std::make_exception_ptr(shed);
-    for (std::size_t i = consumed; i < requests.size(); ++i) {
-      fail(*requests[i], error);
-      release_request(requests[i]);
-    }
-    throw shed;
-  }
-  const auto error = std::make_exception_ptr(
-      ServiceShutdownError("pricing service is shutting down"));
-  for (std::size_t i = consumed; i < requests.size(); ++i) {
-    fail(*requests[i], error);
-    release_request(requests[i]);
-  }
-  throw ServiceShutdownError("pricing service is shutting down");
+  return future;
 }
 
 void PricingService::price_batch_blocking(const finance::OptionSpec* specs,
@@ -488,51 +404,63 @@ void PricingService::price_batch_blocking(const finance::OptionSpec* specs,
   BINOPT_REQUIRE(specs != nullptr || n == 0, "null spec array");
   BINOPT_REQUIRE(out != nullptr || n == 0, "null output array");
   if (n == 0) return;
-  // Validate before leasing any slot, so a rejected spec leaks nothing.
   for (std::size_t i = 0; i < n; ++i) check_admissible(specs[i]);
+  // A refusal is already failed into the sink; like every other error it
+  // surfaces below, once the admitted elements have settled.
+  Sink sink;
+  sink.prices = out;
+  sink.remaining.store(n);
+  (void)admit(specs, n, sink, timeout, cache_tag, priority);
+  std::unique_lock<std::mutex> lock(sink.mutex);
+  sink.cv.wait(lock, [&] { return sink.done; });
+  if (sink.failed.load()) {
+    std::rethrow_exception(sink.error);
+  }
+}
+
+std::exception_ptr PricingService::admit(const finance::OptionSpec* specs,
+                                         std::size_t n, Sink& sink,
+                                         std::chrono::milliseconds timeout,
+                                         std::uint32_t cache_tag,
+                                         Priority priority) {
   bool has_deadline = false;
   const auto deadline = deadline_for(timeout, has_deadline);
   const auto admitted_at = std::chrono::steady_clock::now();
-
-  SyncGroup group;
-  group.remaining = n;
-  group.out = out;
-
-  // Admit one at a time — no side array of pointers, so the whole call
-  // allocates nothing: once admitted, a request resolves straight into
-  // `out` through the group and recycles its slot without us ever
-  // touching it again.
-  std::size_t not_admitted = 0;
-  AdmitOutcome abort;
-  {
-    const AdmissionScope scope(admissions_in_flight_);
-    std::size_t pick = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      Request* request = arena_->acquire();
-      init_request(*request, specs[i], deadline, has_deadline, admitted_at,
-                   cache_tag, priority);
-      request->sink = SinkKind::kSync;
-      request->sync = &group;
-      request->index = i;
-      if (router_.has_value()) {
-        // Same per-chunk placement as enqueue_requests (pick() allocates
-        // nothing, so the zero-alloc promise of this path holds).
-        if (i % config_.max_batch == 0) {
-          pick = router_->pick(std::min(config_.max_batch, n - i));
-        }
-        request->routed_worker = pick;
-        request->has_route = true;
+  const AdmissionScope scope(admissions_in_flight_);
+  std::size_t pick = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    Request* request = arena_->acquire();
+    *request = Request{.spec = specs[i],
+                       .deadline = deadline,
+                       .admitted_at = admitted_at,
+                       .has_deadline = has_deadline,
+                       .cache_tag = cache_tag,
+                       .priority = priority,
+                       .sink = &sink,
+                       .index = i};
+    if (router_.has_value()) {
+      // Per-batch placement: one cost-model pick per max_batch chunk (the
+      // unit a worker launches), re-evaluated as earlier chunks land so a
+      // long curve spreads across the fleet instead of swamping the
+      // cheapest backend. pick() allocates nothing.
+      if (i % config_.max_batch == 0) {
+        pick = router_->pick(std::min(config_.max_batch, n - i));
       }
-      const AdmitOutcome outcome = admit_one(request);
-      if (outcome.result == AdmitResult::kAdmitted) {
+      request->routed_worker = pick;
+      request->has_route = true;
+    }
+    const AdmitOutcome outcome = admit_one(request);
+    switch (outcome.result) {
+      case AdmitResult::kAdmitted:
+        // The worker owns the request now; it may already be recycled.
         submitted_.fetch_add(1, std::memory_order_relaxed);
         continue;
-      }
-      if (outcome.result == AdmitResult::kTimedOut) {
-        // The element's own deadline fired at admission or while parked
-        // on backpressure (satellite 1): settle it in place without ever
-        // holding a queue slot, keep admitting the rest (they carry the
-        // same deadline and settle the same way, cheaply).
+      case AdmitResult::kTimedOut:
+        // The deadline fired at admission or while parked on backpressure.
+        // The request never held a queue slot; settle it in place and keep
+        // going — it still counts as submitted (the client handed it over)
+        // and as an admission timeout (folded into requests_timed_out by
+        // stats()).
         submitted_.fetch_add(1, std::memory_order_relaxed);
         admission_timeouts_.fetch_add(1, std::memory_order_relaxed);
         fail(*request,
@@ -541,35 +469,23 @@ void PricingService::price_batch_blocking(const finance::OptionSpec* specs,
                  "before a queue slot freed)")));
         release_request(request);
         continue;
+      case AdmitResult::kShutdown:
+      case AdmitResult::kShed: {
+        // Refuse this element and the rest of the batch; the admitted
+        // prefix still resolves through the workers.
+        release_request(request);
+        const std::exception_ptr refusal =
+            outcome.result == AdmitResult::kShed
+                ? std::make_exception_ptr(make_shed_error(
+                      priority, outcome.occupancy, outcome.threshold))
+                : std::make_exception_ptr(ServiceShutdownError(
+                      "pricing service is shutting down"));
+        fail_sink(sink, refusal, n - i);
+        return refusal;
       }
-      release_request(request);
-      not_admitted = n - i;
-      abort = outcome;
-      break;
     }
   }
-  if (not_admitted > 0) {
-    // Shutdown or shed mid-admission: settle the unadmitted tail locally,
-    // then fall through to wait for whatever was admitted before throwing.
-    const std::lock_guard<std::mutex> lock(group.mutex);
-    if (!group.failed) {
-      group.failed = true;
-      group.error =
-          abort.result == AdmitResult::kShed
-              ? std::make_exception_ptr(make_shed_error(
-                    priority, abort.occupancy, abort.threshold))
-              : std::make_exception_ptr(ServiceShutdownError(
-                    "pricing service is shutting down"));
-    }
-    group.remaining -= not_admitted;
-  }
-  std::exception_ptr error;
-  {
-    std::unique_lock<std::mutex> lock(group.mutex);
-    group.cv.wait(lock, [&] { return group.remaining == 0; });
-    if (group.failed) error = group.error;
-  }
-  if (error) std::rethrow_exception(error);
+  return nullptr;
 }
 
 PricingService::AdmitOutcome PricingService::admit_one(Request* request) {
@@ -661,61 +577,13 @@ PricingService::AdmitOutcome PricingService::admit_one(Request* request) {
       worker.routed_queue.push_back(request);
     }
     router_->on_enqueued(request->routed_worker, 1);
-  } else if (ring_.has_value()) {
+  } else {
     // With a credit held the ring has logical room; a failed push only
     // means a consumer is mid-recycle on that slot — yield and retry.
     while (!ring_->try_push(request)) std::this_thread::yield();
-  } else {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
-    mutex_queue_.push_back(request);
   }
   not_empty_.notify();
   return {AdmitResult::kAdmitted};
-}
-
-std::size_t PricingService::enqueue_requests(Request* const* requests,
-                                             std::size_t n,
-                                             AdmitOutcome* abort) {
-  const AdmissionScope scope(admissions_in_flight_);
-  std::size_t pick = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (router_.has_value()) {
-      // Per-batch placement: one cost-model pick per max_batch chunk (the
-      // unit a worker launches), re-evaluated as earlier chunks land so a
-      // long curve spreads across the fleet instead of swamping the
-      // cheapest backend.
-      if (i % config_.max_batch == 0) {
-        pick = router_->pick(std::min(config_.max_batch, n - i));
-      }
-      requests[i]->routed_worker = pick;
-      requests[i]->has_route = true;
-    }
-    const AdmitOutcome outcome = admit_one(requests[i]);
-    switch (outcome.result) {
-      case AdmitResult::kAdmitted:
-        submitted_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      case AdmitResult::kTimedOut:
-        // Satellite 1: the deadline fired at admission or while parked on
-        // backpressure. The request never held a queue slot; settle it in
-        // place and keep going — it still counts as submitted (the client
-        // handed it over) and as an admission timeout (folded into
-        // requests_timed_out by stats()).
-        submitted_.fetch_add(1, std::memory_order_relaxed);
-        admission_timeouts_.fetch_add(1, std::memory_order_relaxed);
-        fail(*requests[i],
-             std::make_exception_ptr(ServiceTimeoutError(
-                 "quote request expired at admission (deadline passed "
-                 "before a queue slot freed)")));
-        release_request(requests[i]);
-        continue;
-      case AdmitResult::kShutdown:
-      case AdmitResult::kShed:
-        if (abort != nullptr) *abort = outcome;
-        return i;
-    }
-  }
-  return n;
 }
 
 std::size_t PricingService::pop_available(
@@ -732,38 +600,12 @@ std::size_t PricingService::pop_available(
     return armed && request->has_deadline &&
            deadline_expired(now, request->deadline);
   };
-  // EDF order for the deque spines: deadlined before undeadlined,
+  // EDF order for the routed deques: deadlined before undeadlined,
   // earlier deadline first, admission order as the tie-break.
   const auto edf_less = [](const Request* a, const Request* b) {
     return service::edf_before(
         service::EdfKey{a->has_deadline, a->deadline, a->admitted_at},
         service::EdfKey{b->has_deadline, b->deadline, b->admitted_at});
-  };
-  // Pops the EDF-earliest collectable entry out of a deque (linear scan —
-  // queues are bounded by queue_capacity and typically far smaller),
-  // staging expired entries as drops along the way. `on_drop` returns the
-  // dropped entry's admission credit while the spine lock is still held.
-  const auto pop_edf = [&](std::deque<Request*>& queue,
-                           auto&& on_drop) -> Request* {
-    // Sweep expired entries first (erase invalidates deque iterators, so
-    // the EDF scan runs on a clean queue afterwards).
-    for (auto it = queue.begin(); it != queue.end();) {
-      if (expired(*it)) {
-        self.eager_drops.push_back(*it);
-        it = queue.erase(it);
-        on_drop();
-      } else {
-        ++it;
-      }
-    }
-    auto best = queue.end();
-    for (auto it = queue.begin(); it != queue.end(); ++it) {
-      if (best == queue.end() || edf_less(*it, *best)) best = it;
-    }
-    if (best == queue.end()) return nullptr;
-    Request* request = *best;
-    queue.erase(best);
-    return request;
   };
   // Ready retries first: redelivered work is older than anything fresh.
   // The atomic guard keeps the fault-free hot path off the retry lock.
@@ -793,20 +635,30 @@ std::size_t PricingService::pop_available(
   if (router_.has_value()) {
     {
       const std::lock_guard<std::mutex> lock(self.route_mutex);
-      const auto drop_credit = [&] {
-        queue_count_.fetch_sub(1, std::memory_order_acq_rel);
-        router_->on_dequeued(self.index, 1);
-      };
-      while (out.size() < limit && !self.routed_queue.empty()) {
-        Request* request = nullptr;
-        if (armed) {
-          request = pop_edf(self.routed_queue, drop_credit);
-          if (request == nullptr) break;  // only expired entries remained
-        } else {
-          request = self.routed_queue.front();
-          self.routed_queue.pop_front();
+      std::deque<Request*>& queue = self.routed_queue;
+      if (armed && out.size() < limit) {
+        // Sweep expired entries first (erase invalidates deque iterators,
+        // so the EDF scan below runs on a clean queue), returning each
+        // one's admission credit while the lock is still held.
+        for (auto it = queue.begin(); it != queue.end();) {
+          if (!expired(*it)) {
+            ++it;
+            continue;
+          }
+          self.eager_drops.push_back(*it);
+          it = queue.erase(it);
+          queue_count_.fetch_sub(1, std::memory_order_acq_rel);
+          router_->on_dequeued(self.index, 1);
         }
-        out.push_back(request);
+      }
+      while (out.size() < limit && !queue.empty()) {
+        // Armed: the EDF-earliest entry (linear scan — the queue is bounded
+        // by queue_capacity and typically far smaller). Disarmed: FIFO.
+        const auto next =
+            armed ? std::min_element(queue.begin(), queue.end(), edf_less)
+                  : queue.begin();
+        out.push_back(*next);
+        queue.erase(next);
         queue_count_.fetch_sub(1, std::memory_order_acq_rel);
         router_->on_dequeued(self.index, 1);
         ++popped;
@@ -829,7 +681,7 @@ std::size_t PricingService::pop_available(
         break;
       }
     }
-  } else if (ring_.has_value()) {
+  } else {
     // The ring pops FIFO (EDF within the window happens in collect_batch's
     // sort); expiry is still enforced here so dead requests never occupy
     // batch slots.
@@ -841,24 +693,6 @@ std::size_t PricingService::pop_available(
         continue;
       }
       out.push_back(request);
-      ++popped;
-    }
-  } else {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
-    const auto drop_credit = [&] {
-      queue_count_.fetch_sub(1, std::memory_order_acq_rel);
-    };
-    while (out.size() < limit && !mutex_queue_.empty()) {
-      Request* request = nullptr;
-      if (armed) {
-        request = pop_edf(mutex_queue_, drop_credit);
-        if (request == nullptr) break;  // only expired entries remained
-      } else {
-        request = mutex_queue_.front();
-        mutex_queue_.pop_front();
-      }
-      out.push_back(request);
-      queue_count_.fetch_sub(1, std::memory_order_acq_rel);
       ++popped;
     }
   }
@@ -951,7 +785,7 @@ bool PricingService::collect_batch(Worker& self, std::vector<Request*>& out,
   }
   if (overload_armed_ && out.size() > 1) {
     // Deadline-aware batch formation: EDF order within the collected
-    // window. The deque spines already popped earliest-deadline-first;
+    // window. The routed deques already popped earliest-deadline-first;
     // this sort is what makes the FIFO ring's window deadline-aware, and
     // it keeps retry-first pops in EDF order too. Insertion sort, not
     // std::stable_sort: it is equally stable (pop order preserved among
@@ -1018,6 +852,27 @@ void PricingService::requeue(Request* const* requests, std::size_t n) {
   not_empty_.notify();
 }
 
+void PricingService::run_alternate(
+    Worker& worker, Target target, std::size_t steps,
+    const std::vector<finance::OptionSpec>& specs) {
+  if (!worker.alternate || worker.alternate_target != target ||
+      worker.alternate_steps != steps) {
+    PricingAccelerator::Config config;
+    config.target = target;
+    config.steps = steps;
+    config.compute_rmse = false;
+    config.compute_units = config_.compute_units;
+    // Deliberately no fault plan: the alternate is a fallback and a
+    // capacity valve, not a fault-injection subject.
+    worker.alternate = std::make_unique<PricingAccelerator>(std::move(config));
+    worker.alternate_target = target;
+    worker.alternate_steps = steps;
+  }
+  worker.alternate_prices.resize(specs.size());
+  worker.alternate->run_prices(specs.data(), specs.size(),
+                               worker.alternate_prices.data());
+}
+
 void PricingService::worker_loop(std::size_t worker_index) {
   Worker& worker = *workers_[worker_index];
   PricingAccelerator::Config acfg;
@@ -1039,8 +894,8 @@ void PricingService::worker_loop(std::size_t worker_index) {
   worker.requeue_ptrs.reserve(config_.max_batch);
   worker.to_degrade.reserve(config_.max_batch);
   worker.to_brownout.reserve(config_.max_batch);
-  worker.brownout_specs.reserve(config_.max_batch);
-  worker.brownout_prices.reserve(config_.max_batch);
+  worker.alternate_specs.reserve(config_.max_batch);
+  worker.alternate_prices.reserve(config_.max_batch);
   worker.eager_drops.reserve(config_.max_batch);
   worker.specs.reserve(config_.max_batch);
   worker.tags.reserve(config_.max_batch);
@@ -1297,92 +1152,57 @@ void PricingService::process_batch(Worker& worker,
     }
   }
 
-  // Graceful degradation: requests out of retry budget are answered by a
-  // private CPU-reference fallback — a worse (not bit-identical) answer,
-  // flagged as such, instead of no answer. Not cached: emergency prices
-  // must not outlive the emergency.
+  // Requests the configured backend cannot answer at full fidelity are
+  // priced on the worker's alternate accelerator. Never cached: such a
+  // price must not outlive the emergency or overload that justified it.
+  const auto price_on_alternate = [&](const std::vector<std::size_t>& positions,
+                                      Target alternate, std::size_t steps,
+                                      bool browned_out) {
+    worker.alternate_specs.clear();
+    for (const std::size_t pos : positions) {
+      worker.alternate_specs.push_back(batch[pos]->spec);
+    }
+    run_alternate(worker, alternate, steps, worker.alternate_specs);
+    for (std::size_t i = 0; i < positions.size(); ++i) {
+      completions.push_back({positions[i], worker.alternate_prices[i],
+                             /*from_cache=*/false, /*degraded=*/!browned_out,
+                             browned_out,
+                             browned_out ? worker.brownout_rmse : 0.0});
+    }
+  };
+
+  // Graceful degradation: requests out of retry budget are answered by the
+  // CPU reference — a worse (not bit-identical) answer, flagged as such,
+  // instead of no answer.
   if (!to_degrade.empty()) {
-    if (!worker.fallback) {
-      PricingAccelerator::Config fallback_config;
-      fallback_config.target = Target::kCpuReference;
-      fallback_config.steps = config_.steps;
-      fallback_config.compute_rmse = false;
-      worker.fallback =
-          std::make_unique<PricingAccelerator>(std::move(fallback_config));
-    }
-    std::vector<finance::OptionSpec>& fallback_specs = worker.fallback_specs;
-    std::vector<double>& fallback_prices = worker.fallback_prices;
-    fallback_specs.clear();
-    for (const std::size_t pos : to_degrade) {
-      fallback_specs.push_back(batch[pos]->spec);
-    }
-    fallback_prices.resize(fallback_specs.size());
-    worker.fallback->run_prices(fallback_specs.data(), fallback_specs.size(),
-                                fallback_prices.data());
-    for (std::size_t i = 0; i < to_degrade.size(); ++i) {
-      completions.push_back({to_degrade[i], fallback_prices[i],
-                             /*from_cache=*/false, /*degraded=*/true});
-      ++delta.degraded_completions;
-    }
+    price_on_alternate(to_degrade, Target::kCpuReference, config_.steps,
+                       /*browned_out=*/false);
+    delta.degraded_completions += to_degrade.size();
   }
 
   // Accuracy-bounded brownout (DESIGN.md §2.10): under sustained overload
-  // kBatch-class work is priced by a lazily-built reduced-fidelity
-  // sibling — the single-precision variant where the paper implements
-  // one, at brownout_steps lattice steps (default: half the configured
-  // steps). Each browned quote is stamped with the calibrated RMSE of
-  // that configuration. Browned prices are never cached: a reduced-
-  // fidelity answer must not outlive the overload that justified it.
+  // kBatch-class work is priced by the reduced-fidelity sibling — the
+  // single-precision variant where the paper implements one, at half the
+  // configured lattice steps. Each browned quote is stamped with the
+  // calibrated RMSE of that configuration.
   if (!to_brownout.empty()) {
-    if (!worker.brownout) {
-      PricingAccelerator::Config brownout_config;
-      brownout_config.target = brownout_target_for(target);
-      brownout_config.steps =
-          config_.overload.brownout_steps != 0
-              ? config_.overload.brownout_steps
-              : std::max<std::size_t>(2, config_.steps / 2);
-      brownout_config.compute_rmse = false;
-      brownout_config.compute_units = config_.compute_units;
-      // Deliberately no fault plan: brownout is a capacity valve, not a
-      // fault-injection subject.
-      worker.brownout =
-          std::make_unique<PricingAccelerator>(std::move(brownout_config));
-    }
+    const Target reduced_target = brownout_target_for(target);
+    const std::size_t reduced_steps =
+        std::max<std::size_t>(2, config_.steps / 2);
     if (!worker.has_brownout_rmse) {
-      // One-time calibration: the brownout configuration against a fresh
-      // fault-free full-fidelity accelerator over a fixed moneyness x
-      // volatility x maturity grid (the Table II RMSE metric).
+      // One-time calibration: the reduced configuration against the
+      // fault-free full-fidelity one over a fixed moneyness x volatility x
+      // maturity grid (the Table II RMSE metric).
       const std::vector<finance::OptionSpec> calibration =
           brownout_calibration_specs();
-      std::vector<double> reduced(calibration.size(), 0.0);
-      std::vector<double> reference(calibration.size(), 0.0);
-      worker.brownout->run_prices(calibration.data(), calibration.size(),
-                                  reduced.data());
-      PricingAccelerator::Config reference_config;
-      reference_config.target = target;
-      reference_config.steps = config_.steps;
-      reference_config.compute_rmse = false;
-      reference_config.compute_units = config_.compute_units;
-      PricingAccelerator full_fidelity(std::move(reference_config));
-      full_fidelity.run_prices(calibration.data(), calibration.size(),
-                               reference.data());
-      worker.brownout_rmse = rmse(reduced, reference);
+      run_alternate(worker, target, config_.steps, calibration);
+      const std::vector<double> reference = worker.alternate_prices;
+      run_alternate(worker, reduced_target, reduced_steps, calibration);
+      worker.brownout_rmse = rmse(worker.alternate_prices, reference);
       worker.has_brownout_rmse = true;
     }
-    std::vector<finance::OptionSpec>& brownout_specs = worker.brownout_specs;
-    std::vector<double>& brownout_prices = worker.brownout_prices;
-    brownout_specs.clear();
-    for (const std::size_t pos : to_brownout) {
-      brownout_specs.push_back(batch[pos]->spec);
-    }
-    brownout_prices.resize(brownout_specs.size());
-    worker.brownout->run_prices(brownout_specs.data(), brownout_specs.size(),
-                                brownout_prices.data());
-    for (std::size_t i = 0; i < to_brownout.size(); ++i) {
-      completions.push_back({to_brownout[i], brownout_prices[i],
-                             /*from_cache=*/false, /*degraded=*/false,
-                             /*browned_out=*/true, worker.brownout_rmse});
-    }
+    price_on_alternate(to_brownout, reduced_target, reduced_steps,
+                       /*browned_out=*/true);
   }
 
   // Every outcome is decided here; request latency runs from admission to
@@ -1449,8 +1269,9 @@ void PricingService::process_batch(Worker& worker,
     const Target routed_target = request->has_route
                                      ? config_.targets[request->routed_worker]
                                      : priced_by;
-    fulfil(*request, done.price, priced_by, routed_target, done.from_cache,
-           done.degraded, done.browned_out, done.accuracy_bound);
+    fulfil(*request,
+           Quote{done.price, priced_by, routed_target, done.from_cache,
+                 done.degraded, done.browned_out, done.accuracy_bound});
     release_request(request);
     batch[done.pos] = nullptr;
   }

@@ -10,8 +10,9 @@
 //   submit()/submit_batch()  futures for single quotes / whole curves
 //   price_batch_blocking()   synchronous zero-allocation variant: prices
 //                            land in a caller buffer and the caller blocks
-//                            on a stack-allocated sync group — no promise,
-//                            no future, no heap (the benchmark hot path)
+//                            on a stack-allocated countdown sink — no
+//                            promise, no future, no heap (the benchmark
+//                            hot path)
 //   micro-batcher            per-backend workers coalesce queued requests
 //                            into one accelerator run (up to max_batch,
 //                            lingering up to `linger` for stragglers)
@@ -56,9 +57,13 @@
 // EventGates only when genuinely idle. Retries and failovers ride a small
 // mutexed side queue (they need ready_at-ordered scanning, and they are
 // rare by construction), guarded by an atomic counter so the fault-free
-// hot path never takes its lock. ServiceConfig::hot_path can pin the old
-// mutex+deque spine (HotPath::kMutex) — kept as the honest baseline the
-// throughput benchmark compares against.
+// hot path never takes its lock.
+//
+// One admission loop serves all three front-ends, and every request
+// resolves into one kind of completion sink: a countdown shared by the
+// requests of one call. The last count-down either wakes the blocked
+// caller (a stack sink) or publishes the call's promise (a heap sink,
+// recycled through its own arena).
 //
 // Resolution contract: every admitted request resolves EXACTLY once — with
 // a price, a typed error, or a failover to another worker — even when a
@@ -163,12 +168,6 @@ private:
 /// Sentinel: no per-request deadline.
 inline constexpr std::chrono::milliseconds kNoTimeout{-1};
 
-/// Which admission/completion spine the service runs on.
-enum class HotPath {
-  kLockFree,  ///< MPMC ring + arena slots (the default)
-  kMutex,     ///< mutex+deque spine — the benchmark baseline
-};
-
 struct ServiceConfig {
   /// One worker (and one PricingAccelerator instance) per entry; repeat a
   /// target to shard homogeneous load, mix targets to tier the fleet
@@ -181,9 +180,9 @@ struct ServiceConfig {
   /// launch whatever is queued immediately.
   std::chrono::microseconds linger{200};
   /// Bounded admission queue (in options). Submitters block when full.
-  /// The lock-free ring is sized to the next power of two >= this (or
-  /// BINOPT_SERVICE_RING_CAPACITY if larger), but the admission credit
-  /// keeps the *logical* occupancy bound exactly here.
+  /// The lock-free ring is sized to the next power of two >= this, but
+  /// the admission credit keeps the *logical* occupancy bound exactly
+  /// here.
   std::size_t queue_capacity = 8192;
   /// Deadline applied when submit() is not given one explicitly.
   /// kNoTimeout disables; 0 expires immediately (useful in tests).
@@ -213,9 +212,6 @@ struct ServiceConfig {
   /// exactly one plan per target, index-matched (an engaged-but-empty plan
   /// explicitly disarms BINOPT_OCL_FAULTS for that worker's devices).
   std::vector<ocl::faults::FaultPlan> worker_fault_plans;
-  /// Admission/completion spine; kMutex pins the pre-redesign path for
-  /// apples-to-apples benchmarking.
-  HotPath hot_path = HotPath::kLockFree;
   /// Quote-cache shard count; 0 picks automatically from cache_capacity
   /// (small caches stay one exact global LRU — see QuoteCache).
   std::size_t cache_shards = 0;
@@ -297,9 +293,10 @@ public:
 
   /// Queues a whole batch (e.g. one volatility curve); the future resolves
   /// with the prices in input order once every element is priced, or with
-  /// the first element's error. Blocks while the queue is full. A shed
-  /// mid-batch fails the whole batch with ServiceOverloadError and
-  /// rethrows it to the submitter.
+  /// the first element's error once every element has settled. Blocks
+  /// while the queue is full. A shed mid-batch fails the rest of the batch
+  /// with ServiceOverloadError and rethrows it to the submitter; elements
+  /// admitted before it are still priced and counted.
   std::future<std::vector<double>> submit_batch(
       const std::vector<finance::OptionSpec>& specs);
   std::future<std::vector<double>> submit_batch(
@@ -310,10 +307,11 @@ public:
   /// Synchronous batch pricing into a caller buffer: blocks until every
   /// spec is priced (out[i] = price of specs[i]) or rethrows the first
   /// element's error. Same admission, batching, caching, retry, and
-  /// deadline semantics as submit_batch — but the completion sink is a
-  /// stack-allocated countdown instead of promise/future, so on the
-  /// lock-free hot path a steady-state call performs ZERO heap
-  /// allocations end to end (asserted by tests/core/test_alloc_hotpath.cpp).
+  /// deadline semantics as submit_batch — but the completion sink lives
+  /// on the caller's stack instead of behind a promise, so a steady-state
+  /// call performs ZERO heap allocations end to end (asserted by
+  /// tests/core/test_alloc_hotpath.cpp). A shed or shutdown mid-batch
+  /// returns only after the admitted elements settled.
   void price_batch_blocking(const finance::OptionSpec* specs, std::size_t n,
                             double* out);
   void price_batch_blocking(const finance::OptionSpec* specs, std::size_t n,
@@ -335,35 +333,32 @@ public:
   }
 
 private:
-  /// Countdown state shared by the per-option requests of one
-  /// submit_batch call.
-  struct BatchState {
-    explicit BatchState(std::size_t n) : results(n, 0.0), remaining(n) {}
-    std::promise<std::vector<double>> promise;
-    std::vector<double> results;
-    std::atomic<std::size_t> remaining;
+  /// The one completion sink: a countdown shared by the requests of one
+  /// front-end call. fulfil() writes prices[index] (or the whole Quote
+  /// into quotes[index] when the caller asked for attribution), fail()
+  /// keeps the first error, and the last count-down settles the call. A
+  /// stack sink (price_batch_blocking) wakes its blocked caller; a heap
+  /// sink (submit, submit_batch — leased from the sink pool) publishes its
+  /// engaged promise and returns to the pool.
+  struct Sink {
+    double* prices = nullptr;
+    Quote* quotes = nullptr;
+    std::atomic<std::size_t> remaining{0};
     std::atomic<bool> failed{false};
-  };
-
-  /// Stack-allocated completion sink for price_batch_blocking: the caller
-  /// waits on `cv` until every element resolved. ALL decrements happen
-  /// under `mutex`, so the final waker still holds it when remaining hits
-  /// zero — the waiter can only observe completion after that unlock,
-  /// which makes destroying the group on the caller's stack safe.
-  struct SyncGroup {
+    /// First failure; read only after the last count-down.
+    std::exception_ptr error;
+    /// Heap sinks: exactly one promise is engaged, and `quote` / `results`
+    /// are the storage quotes / prices point into.
+    std::optional<std::promise<Quote>> quote_promise;
+    std::optional<std::promise<std::vector<double>>> batch_promise;
+    Quote quote;
+    std::vector<double> results;
+    /// Stack sinks: the caller waits on `cv` until `done`. The last
+    /// count-down sets it and notifies under `mutex`, so the caller can
+    /// only return (popping the sink off its stack) after that unlock.
     std::mutex mutex;
     std::condition_variable cv;
-    std::size_t remaining = 0;
-    bool failed = false;
-    std::exception_ptr error;
-    double* out = nullptr;
-  };
-
-  /// How a request's outcome is delivered.
-  enum class SinkKind {
-    kSingle,  ///< std::promise<Quote> (submit)
-    kBatch,   ///< shared BatchState countdown (submit_batch)
-    kSync,    ///< SyncGroup on a blocked caller's stack (zero-alloc)
+    bool done = false;
   };
 
   /// One queued option, living in a stable arena slot and queued by
@@ -403,13 +398,8 @@ private:
     /// serving worker can count the misroute and report routed_target.
     std::size_t routed_worker = 0;
     bool has_route = false;
-    SinkKind sink = SinkKind::kSingle;
-    /// Engaged only for kSingle, so kSync requests never pay the
-    /// promise's shared-state allocation.
-    std::optional<std::promise<Quote>> single;
-    std::shared_ptr<BatchState> batch;  ///< kBatch only
-    SyncGroup* sync = nullptr;          ///< kSync only (caller's stack)
-    std::size_t index = 0;              ///< position within batch/group
+    Sink* sink = nullptr;
+    std::size_t index = 0;  ///< position within the sink
   };
 
   /// One decided outcome, indexed into the worker's current batch.
@@ -452,11 +442,13 @@ private:
     /// cache line — submitters push while the owner pops.
     alignas(64) std::mutex route_mutex;
     std::deque<Request*> routed_queue BINOPT_GUARDED_BY(route_mutex);
-    /// Lazily-built CPU-reference fallback for degrade_to_cpu.
-    std::unique_ptr<PricingAccelerator> fallback;
-    /// Lazily-built reduced-fidelity sibling for brownout (DESIGN.md
-    /// §2.10): single-precision target where one exists, halved steps.
-    std::unique_ptr<PricingAccelerator> brownout;
+    /// Lazily-built fault-free alternate accelerator for the
+    /// (target, steps) last asked of run_alternate(): the CPU-reference
+    /// fallback for degrade_to_cpu, the brownout sibling (DESIGN.md
+    /// §2.10), or the full-fidelity reference of brownout calibration.
+    std::unique_ptr<PricingAccelerator> alternate;
+    Target alternate_target = Target::kCpuReference;
+    std::size_t alternate_steps = 0;
     /// One-time brownout calibration: RMSE of the reduced config against
     /// a fresh fault-free full-fidelity run over fixed calibration specs.
     /// Stamped on every browned quote as its accuracy bound.
@@ -473,16 +465,14 @@ private:
     std::vector<Request*> requeue_ptrs;   ///< staging for requeue()
     std::vector<std::size_t> to_degrade;  ///< positions into batch
     std::vector<std::size_t> to_brownout;  ///< positions into batch (§2.10)
-    std::vector<finance::OptionSpec> brownout_specs;
-    std::vector<double> brownout_prices;
+    std::vector<finance::OptionSpec> alternate_specs;
+    std::vector<double> alternate_prices;
     /// Expired requests found while scanning the queues (armed overload
     /// layer only): staged here so resolution happens outside spine locks.
     std::vector<Request*> eager_drops;
     std::vector<finance::OptionSpec> specs;
     std::vector<std::uint32_t> tags;  ///< cache tags parallel to `specs`
     std::vector<double> prices;
-    std::vector<finance::OptionSpec> fallback_specs;
-    std::vector<double> fallback_prices;
     /// Reusable per-batch stats delta (owner thread only; merged into
     /// `shard` under shard_mutex). Its per-backend vectors are pre-sized
     /// once in worker_loop() and cleared in place per batch, keeping the
@@ -490,11 +480,15 @@ private:
     service::ServiceStats delta;
   };
 
-  static void fulfil(Request& request, double price, Target target,
-                     Target routed_target, bool from_cache,
-                     bool degraded = false, bool browned_out = false,
-                     double accuracy_bound = 0.0);
-  static void fail(Request& request, const std::exception_ptr& error);
+  /// Resolve one request into its sink (at most once per request).
+  void fulfil(Request& request, const Quote& quote);
+  void fail(Request& request, const std::exception_ptr& error);
+  /// Fails `n` elements of `sink` at once (the refused rest of a batch).
+  void fail_sink(Sink& sink, const std::exception_ptr& error, std::size_t n);
+  /// Counts `n` elements down; the last one settles the sink.
+  void count_down(Sink& sink, std::size_t n);
+  /// Leases a heap sink expecting `n` outcomes.
+  Sink& lease_sink(std::size_t n);
 
   /// Admission gate: rejects specs the service must not accept (non-finite
   /// fields, out-of-range economics) with a ServiceRejectedError naming
@@ -504,13 +498,6 @@ private:
   [[nodiscard]] std::chrono::steady_clock::time_point deadline_for(
       std::chrono::milliseconds timeout, bool& has_deadline) const;
 
-  /// Resets a leased slot to a clean single-quote shell.
-  static void init_request(Request& request, const finance::OptionSpec& spec,
-                           std::chrono::steady_clock::time_point deadline,
-                           bool has_deadline,
-                           std::chrono::steady_clock::time_point admitted_at,
-                           std::uint32_t cache_tag = 0,
-                           Priority priority = Priority::kNormal);
   /// Clears per-lease state and returns the slot to the arena. Only after
   /// resolution (or for never-admitted requests).
   void release_request(Request* request);
@@ -536,18 +523,21 @@ private:
   /// kAdmitted the request was NOT queued and the caller resolves it.
   AdmitOutcome admit_one(Request* request);
 
-  /// Admits requests[0..n) in order, blocking per element (backpressure is
-  /// per option, so an oversized curve streams in as workers drain).
-  /// Admission-deadline expiries are resolved and released in place and
-  /// count as consumed. Returns how many leading requests were consumed
-  /// (admitted or settled); the tail is untouched and `abort` (when
-  /// non-null) records why admission stopped (kShutdown / kShed).
-  std::size_t enqueue_requests(Request* const* requests, std::size_t n,
-                               AdmitOutcome* abort = nullptr);
+  /// The one admission loop behind submit, submit_batch and
+  /// price_batch_blocking. Leases a slot per spec (element i resolves
+  /// into sink index i), stamps its route, and admits it, blocking per
+  /// element (backpressure is per option, so an oversized curve streams
+  /// in as workers drain). Admission-deadline expiries are settled in
+  /// place. A shed or shutdown stops the loop: the refused element and
+  /// the rest of the batch are failed into the sink with the typed error,
+  /// which is returned; null means every element was consumed.
+  std::exception_ptr admit(const finance::OptionSpec* specs, std::size_t n,
+                           Sink& sink, std::chrono::milliseconds timeout,
+                           std::uint32_t cache_tag, Priority priority);
 
   /// Non-blocking: moves every currently-collectable request (ready
   /// retries first, then the caller's own routed queue when routing is on,
-  /// else main-queue FIFO) into `out`, up to `limit` total. A quarantined
+  /// else the ring's FIFO) into `out`, up to `limit` total. A quarantined
   /// worker probing with nothing of its own steals one request from a
   /// peer's routed queue so recovery probes never starve. Returns the
   /// number popped.
@@ -577,6 +567,11 @@ private:
   /// Bounded naturally by the in-flight request count.
   void requeue(Request* const* requests, std::size_t n);
 
+  /// Prices `specs` on the worker's alternate accelerator into
+  /// worker.alternate_prices, rebuilding it when (target, steps) changes.
+  void run_alternate(Worker& worker, Target target, std::size_t steps,
+                     const std::vector<finance::OptionSpec>& specs);
+
   void worker_loop(std::size_t worker_index);
   void process_batch(Worker& worker, PricingAccelerator& accelerator,
                      bool probing);
@@ -593,11 +588,14 @@ private:
   /// Stable storage for every in-flight request (see SlabArena); sized to
   /// cover the ring + all workers' batches + blocked submitters.
   std::optional<service::SlabArena<Request>> arena_;
-  /// Lock-free spine (HotPath::kLockFree).
+  /// Heap sinks for submit/submit_batch, recycled so a steady-state call
+  /// allocates only its promise. The pool grows to the peak number of
+  /// outstanding calls and never shrinks; the deque keeps sinks in place.
+  std::mutex sink_mutex_;
+  std::deque<Sink> sink_storage_ BINOPT_GUARDED_BY(sink_mutex_);
+  std::vector<Sink*> free_sinks_ BINOPT_GUARDED_BY(sink_mutex_);
+  /// The shared spine; nullopt under routing (per-worker routed queues).
   std::optional<service::MpmcRing<Request*>> ring_;
-  /// Mutex spine (HotPath::kMutex) — the benchmark baseline.
-  mutable std::mutex queue_mutex_;
-  std::deque<Request*> mutex_queue_ BINOPT_GUARDED_BY(queue_mutex_);
 
   /// Admission credits: logical main-queue occupancy, bounded by
   /// queue_capacity regardless of the ring's rounded-up size. On its own

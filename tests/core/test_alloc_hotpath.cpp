@@ -1,18 +1,20 @@
 // Zero-allocation gate for the service hot path (DESIGN.md §2.6).
 //
 // This binary replaces the global allocation operators with counting
-// versions and asserts that, after warmup, a price_batch_blocking call on
-// the lock-free spine performs NO heap allocation end to end: admission
-// (arena slot + ring push), batching (reused worker scratch), pricing
-// (BatchPricer's reused lanes), and resolution (stack SyncGroup). It is a
-// separate test binary so the hooks cannot perturb the other suites or
-// the ThreadSanitizer job.
+// versions and asserts that, after warmup, a price_batch_blocking call
+// performs NO heap allocation end to end: admission (arena slot + ring
+// push), batching (reused worker scratch), pricing (BatchPricer's reused
+// lanes), and resolution (stack countdown sink). It also bounds what the
+// future-returning front-ends allocate per call. It is a separate test
+// binary so the hooks cannot perturb the other suites or the
+// ThreadSanitizer job.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "core/accelerator.h"
@@ -89,7 +91,7 @@ using namespace std::chrono_literals;
 constexpr std::size_t kSteps = 64;
 constexpr std::size_t kBatch = 64;
 
-ServiceConfig hotpath_config(HotPath hot_path) {
+ServiceConfig hotpath_config() {
   ServiceConfig config;
   config.targets = {Target::kCpuReference};
   config.steps = kSteps;
@@ -97,7 +99,6 @@ ServiceConfig hotpath_config(HotPath hot_path) {
   config.linger = 0us;
   config.queue_capacity = 256;
   config.cache_capacity = 0;  // cache insertions allocate by design
-  config.hot_path = hot_path;
   return config;
 }
 
@@ -107,7 +108,7 @@ TEST(AllocHotPath, SteadyStateBlockingBatchMakesZeroHeapAllocations) {
                              /*compute_rmse=*/false});
   const std::vector<double> expected = direct.run(specs).prices;
 
-  PricingService service(hotpath_config(HotPath::kLockFree));
+  PricingService service(hotpath_config());
   std::vector<double> out(specs.size(), 0.0);
 
   // Warmup: lazily builds the worker's BatchPricer, reserves all scratch,
@@ -135,24 +136,23 @@ TEST(AllocHotPath, SteadyStateBlockingBatchMakesZeroHeapAllocations) {
   ASSERT_EQ(out, expected);
 }
 
-TEST(AllocHotPath, BlockingBatchMatchesFutureApisOnBothSpines) {
+TEST(AllocHotPath, FrontEndsAgreeBitwiseWithADirectRunOnOneWorker) {
+  // The stack sink and both heap sinks resolve the same prices.
   const auto specs = finance::make_curve_batch(48);
   PricingAccelerator direct({Target::kCpuReference, kSteps,
                              /*compute_rmse=*/false});
   const std::vector<double> expected = direct.run(specs).prices;
 
-  for (const HotPath hot_path : {HotPath::kLockFree, HotPath::kMutex}) {
-    PricingService service(hotpath_config(hot_path));
-    std::vector<double> blocking(specs.size(), 0.0);
-    service.price_batch_blocking(specs.data(), specs.size(), blocking.data());
-    EXPECT_EQ(blocking, expected);
+  PricingService service(hotpath_config());
+  std::vector<double> blocking(specs.size(), 0.0);
+  service.price_batch_blocking(specs.data(), specs.size(), blocking.data());
+  EXPECT_EQ(blocking, expected);
 
-    const std::vector<double> via_future = service.submit_batch(specs).get();
-    EXPECT_EQ(via_future, expected);
+  const std::vector<double> via_future = service.submit_batch(specs).get();
+  EXPECT_EQ(via_future, expected);
 
-    const Quote quote = service.submit(specs.front()).get();
-    EXPECT_EQ(quote.price, expected.front());
-  }
+  const Quote quote = service.submit(specs.front()).get();
+  EXPECT_EQ(quote.price, expected.front());
 }
 
 TEST(AllocHotPath, ArmedOverloadLayerUnderTheWatermarkStaysZeroAlloc) {
@@ -167,7 +167,7 @@ TEST(AllocHotPath, ArmedOverloadLayerUnderTheWatermarkStaysZeroAlloc) {
                              /*compute_rmse=*/false});
   const std::vector<double> expected = direct.run(specs).prices;
 
-  ServiceConfig config = hotpath_config(HotPath::kLockFree);
+  ServiceConfig config = hotpath_config();
   config.overload.shed_watermark = 0.9;    // 230 of 256: never reached
   config.overload.sojourn_target = 50ms;   // never exceeded either
   PricingService service(std::move(config));
@@ -198,11 +198,48 @@ TEST(AllocHotPath, ArmedOverloadLayerUnderTheWatermarkStaysZeroAlloc) {
   EXPECT_EQ(stats.brownout_completions, 0u);
 }
 
+/// Steady-state heap allocations per call of `call`, averaged over
+/// kMeasuredReps calls after a warmup that carves every arena slab.
+template <typename Call>
+double allocations_per_call(Call&& call) {
+  for (int i = 0; i < 200; ++i) call();
+  const std::uint64_t before =
+      g_heap_allocations.load(std::memory_order_relaxed);
+  constexpr int kMeasuredReps = 100;
+  for (int i = 0; i < kMeasuredReps; ++i) call();
+  const std::uint64_t after =
+      g_heap_allocations.load(std::memory_order_relaxed);
+  return static_cast<double>(after - before) / kMeasuredReps;
+}
+
+TEST(AllocHotPath, SteadyStateSubmitAllocationsStayBounded) {
+  // submit() pays only for its promise (libstdc++ allocates the shared
+  // state and the result storage separately): the request slot and the
+  // completion sink are recycled, never allocated, in steady state. The
+  // bound is what the promise-per-request front-end allocated.
+  const auto specs = finance::make_curve_batch(2);
+  PricingService service(hotpath_config());
+  const double per_call = allocations_per_call(
+      [&] { EXPECT_GT(service.submit(specs.front()).get().price, 0.0); });
+  EXPECT_LE(per_call, 2.0) << per_call << " allocations per submit()";
+}
+
+TEST(AllocHotPath, SteadyStateSubmitBatchAllocationsStayBounded) {
+  // submit_batch() pays for its promise and its result vector. The bound
+  // is what the front-end with a shared batch state and a side array of
+  // request pointers allocated.
+  const auto specs = finance::make_curve_batch(kBatch);
+  PricingService service(hotpath_config());
+  const double per_call = allocations_per_call(
+      [&] { EXPECT_EQ(service.submit_batch(specs).get().size(), kBatch); });
+  EXPECT_LE(per_call, 5.0) << per_call << " allocations per submit_batch()";
+}
+
 TEST(AllocHotPath, StatsStillTrackZeroAllocTraffic) {
-  // kSync requests must feed the same counters/histograms as the
-  // promise-based sinks — observability cannot be the price of zero-alloc.
+  // Stack-sink requests must feed the same counters/histograms as the
+  // heap sinks — observability cannot be the price of zero-alloc.
   const auto specs = finance::make_curve_batch(32);
-  PricingService service(hotpath_config(HotPath::kLockFree));
+  PricingService service(hotpath_config());
   std::vector<double> out(specs.size(), 0.0);
   service.price_batch_blocking(specs.data(), specs.size(), out.data());
 

@@ -193,6 +193,23 @@ TEST(Chaos, ExhaustedRetriesFailWithTheFaultError) {
   EXPECT_GE(stats.retries, 1u);
 }
 
+TEST(Chaos, BatchFutureSettlesOnlyOnceEveryElementSettled) {
+  // The first of three launches fails with no retry budget left, so the
+  // batch future carries that error — but only once the later launches
+  // have settled too, so the caller's stats() sees the whole curve.
+  ServiceConfig config = chaos_config("transient@1", 1);
+  config.retry.max_attempts = 1;
+  config.max_batch = 16;
+  PricingService service(std::move(config));
+  const auto batch = finance::make_curve_batch(48);
+
+  auto future = service.submit_batch(batch);
+  EXPECT_THROW((void)future.get(), ocl::faults::TransientDeviceError);
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.requests_completed + stats.requests_failed, batch.size());
+  EXPECT_GE(stats.requests_failed, 1u);
+}
+
 TEST(Chaos, DegradesToCpuReferenceWhenTheBackendGivesUp) {
   ServiceConfig config = chaos_config("transient@~100", 1);
   config.retry.max_attempts = 2;

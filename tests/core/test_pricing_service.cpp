@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <exception>
 #include <future>
 #include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -519,25 +521,28 @@ TEST(ServiceStats, HistogramsTravelThroughMergeAndMinus) {
   EXPECT_EQ(fields, 25u);
 }
 
-// --- Hot-path spine ------------------------------------------------------
+// --- Front-ends -----------------------------------------------------------
 
-TEST(PricingService, MutexAndLockFreeSpinesAgreeBitwise) {
-  // The benchmark baseline (HotPath::kMutex) and the default lock-free
-  // spine must produce identical prices — the spine only moves pointers.
+TEST(PricingService, FrontEndsAgreeBitwiseWithADirectRunOnTwoWorkers) {
+  // submit, submit_batch and price_batch_blocking share one admission
+  // loop and one sink; across two workers they must all reproduce the
+  // direct run — the spine only moves pointers.
   const auto batch = finance::make_curve_batch(48);
   const std::vector<double> expected =
       direct_prices(Target::kCpuReference, batch);
 
-  for (const HotPath hot_path : {HotPath::kLockFree, HotPath::kMutex}) {
-    ServiceConfig config = small_config(Target::kCpuReference, /*workers=*/2);
-    config.hot_path = hot_path;
-    PricingService service(config);
-    const std::vector<double> got = service.submit_batch(batch).get();
-    ASSERT_EQ(got, expected);  // bitwise-equal doubles
+  PricingService service(small_config(Target::kCpuReference, /*workers=*/2));
+  const std::vector<double> got = service.submit_batch(batch).get();
+  ASSERT_EQ(got, expected);  // bitwise-equal doubles
 
-    std::vector<double> blocking(batch.size(), -1.0);
-    service.price_batch_blocking(batch.data(), batch.size(), blocking.data());
-    ASSERT_EQ(blocking, expected);
+  std::vector<double> blocking(batch.size(), -1.0);
+  service.price_batch_blocking(batch.data(), batch.size(), blocking.data());
+  ASSERT_EQ(blocking, expected);
+
+  std::vector<std::future<Quote>> singles;
+  for (const auto& spec : batch) singles.push_back(service.submit(spec));
+  for (std::size_t i = 0; i < singles.size(); ++i) {
+    EXPECT_EQ(singles[i].get().price, expected[i]) << "option " << i;
   }
 }
 
@@ -565,33 +570,30 @@ TEST(PricingService, ShutdownMidBurstResolvesEverySubmittedFuture) {
   // 4 submitters blast 256 singles through a small-batch service, and the
   // service is destroyed while most of that burst is still queued (large
   // linger, tiny batches). Every future must resolve with a price: the
-  // destructor drains admitted work instead of dropping it. Run on both
-  // spines; under TSan this race-checks teardown against workers mid-burst.
+  // destructor drains admitted work instead of dropping it. Under TSan
+  // this race-checks teardown against workers mid-burst.
   const auto batch = finance::make_curve_batch(16);
-  for (const HotPath hot_path : {HotPath::kLockFree, HotPath::kMutex}) {
-    std::vector<std::future<Quote>> futures[4];
-    {
-      ServiceConfig config = small_config(Target::kCpuReference, /*workers=*/2);
-      config.hot_path = hot_path;
-      config.max_batch = 4;
-      config.linger = 2000us;
-      PricingService service(config);
-      std::vector<std::thread> submitters;
-      for (int t = 0; t < 4; ++t) {
-        submitters.emplace_back([&, t] {
-          for (int i = 0; i < 64; ++i) {
-            futures[t].push_back(service.submit(batch[i % batch.size()]));
-          }
-        });
-      }
-      for (auto& thread : submitters) thread.join();
-      // Destructor runs here, with the bulk of the burst still queued.
+  std::vector<std::future<Quote>> futures[4];
+  {
+    ServiceConfig config = small_config(Target::kCpuReference, /*workers=*/2);
+    config.max_batch = 4;
+    config.linger = 2000us;
+    PricingService service(config);
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < 4; ++t) {
+      submitters.emplace_back([&, t] {
+        for (int i = 0; i < 64; ++i) {
+          futures[t].push_back(service.submit(batch[i % batch.size()]));
+        }
+      });
     }
-    for (auto& per_thread : futures) {
-      ASSERT_EQ(per_thread.size(), 64u);
-      for (auto& future : per_thread) {
-        EXPECT_GT(future.get().price, 0.0);
-      }
+    for (auto& thread : submitters) thread.join();
+    // Destructor runs here, with the bulk of the burst still queued.
+  }
+  for (auto& per_thread : futures) {
+    ASSERT_EQ(per_thread.size(), 64u);
+    for (auto& future : per_thread) {
+      EXPECT_GT(future.get().price, 0.0);
     }
   }
 }
@@ -772,7 +774,9 @@ TEST(ServiceOverload, EdfCollectionServesTheEarliestDeadlineFirst) {
   const auto batch = finance::make_curve_batch(4);
   ServiceConfig config =
       stalled_config("stall@1x3,ms=200", /*queue_capacity=*/8);
-  config.hot_path = HotPath::kMutex;  // deque spine: EDF pop can reorder
+  // The routed per-worker deque is the spine whose pop scans the whole
+  // queue for the earliest deadline.
+  config.router.policy = service::RouterPolicy::kLatency;
   config.overload.shed_watermark = 1.0;
   PricingService service(config);
 
@@ -876,6 +880,167 @@ TEST(ServiceOverload, DisabledLayerIsTheNullPath) {
   EXPECT_EQ(a.admission_timeouts, 0u);
   EXPECT_EQ(a.eager_deadline_drops, 0u);
   EXPECT_EQ(a.brownout_completions, 0u);
+}
+
+// --- Mid-admission refusals ---------------------------------------------
+// A shed or a shutdown that interrupts a multi-element admission refuses
+// the rest of the batch with its typed error, while every element
+// admitted before the refusal still resolves and is counted.
+
+/// Stats once every admitted request has settled. Polls, because a
+/// refused submit_batch hands the caller no handle on its admitted
+/// prefix; a prefix that never settles fails the conservation check.
+service::ServiceStats settled_stats(const PricingService& service) {
+  const auto give_up = std::chrono::steady_clock::now() + 10s;
+  service::ServiceStats stats = service.stats();
+  while (stats.requests_completed + stats.requests_timed_out +
+                 stats.requests_failed <
+             stats.requests_submitted &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(1ms);
+    stats = service.stats();
+  }
+  return stats;
+}
+
+void expect_conserved(const service::ServiceStats& stats) {
+  EXPECT_EQ(stats.requests_submitted, stats.requests_completed +
+                                          stats.requests_timed_out +
+                                          stats.requests_failed);
+}
+
+/// A stalled worker holding one realtime blocker, a queue of 8 and
+/// watermark 0.5: kBatch admission sheds at occupancy 4, so a 7-element
+/// kBatch curve admits its first 4 elements and sheds the fifth.
+struct MidBatchShed {
+  std::vector<finance::OptionSpec> curve;
+  PricingService service;
+  std::future<Quote> blocker;
+
+  MidBatchShed() : service(config()) {
+    const auto batch = finance::make_curve_batch(8);
+    curve.assign(batch.begin() + 1, batch.end());
+    blocker = service.submit(batch[0], kNoTimeout, 0, Priority::kRealtime);
+    wait_until_collected(service);
+  }
+
+  static ServiceConfig config() {
+    ServiceConfig config =
+        stalled_config("stall@1,ms=300", /*queue_capacity=*/8);
+    config.overload.shed_watermark = 0.5;
+    return config;
+  }
+};
+
+void expect_fifth_element_shed(const ServiceOverloadError& error) {
+  EXPECT_EQ(error.priority(), Priority::kBatch);
+  EXPECT_EQ(error.occupancy(), 4u);
+  EXPECT_EQ(error.threshold(), 4u);
+}
+
+TEST(ServiceOverload, SubmitBatchShedMidBatchSettlesTheAdmittedPrefix) {
+  MidBatchShed shed;
+  try {
+    (void)shed.service.submit_batch(shed.curve, kNoTimeout, 0,
+                                    Priority::kBatch);
+    FAIL() << "the fifth kBatch element must shed at occupancy 4";
+  } catch (const ServiceOverloadError& error) {
+    expect_fifth_element_shed(error);
+  }
+  EXPECT_GT(shed.blocker.get().price, 0.0);
+
+  const auto stats = settled_stats(shed.service);
+  expect_conserved(stats);
+  EXPECT_EQ(stats.requests_submitted, 5u);  // blocker + admitted prefix
+  EXPECT_EQ(stats.requests_completed, 5u);
+  EXPECT_EQ(stats.requests_shed_batch, 1u);  // the refused element only
+  EXPECT_EQ(stats.options_priced, 5u);
+}
+
+TEST(ServiceOverload, BlockingBatchShedMidBatchSettlesTheAdmittedPrefix) {
+  MidBatchShed shed;
+  std::vector<double> out(shed.curve.size(), -1.0);
+  try {
+    shed.service.price_batch_blocking(shed.curve.data(), shed.curve.size(),
+                                      out.data(), kNoTimeout, 0,
+                                      Priority::kBatch);
+    FAIL() << "the fifth kBatch element must shed at occupancy 4";
+  } catch (const ServiceOverloadError& error) {
+    expect_fifth_element_shed(error);
+  }
+  // The call returned only after its admitted prefix settled: those
+  // prices landed, the refused tail was never written, and the counters
+  // are already complete.
+  const std::vector<double> expected =
+      direct_prices(Target::kFpgaKernelB, shed.curve);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i], i < 4 ? expected[i] : -1.0) << "element " << i;
+  }
+  const auto stats = shed.service.stats();
+  expect_conserved(stats);
+  EXPECT_EQ(stats.requests_submitted, 5u);
+  EXPECT_EQ(stats.requests_completed, 5u);
+  EXPECT_EQ(stats.requests_shed_batch, 1u);
+  EXPECT_GT(shed.blocker.get().price, 0.0);
+}
+
+/// Destroys a service while `admit` is parked on backpressure partway
+/// through an 11-element batch: a stalled worker holds one blocker and
+/// the 4-deep queue holds the batch's first 4 elements. Returns what
+/// `admit` threw, after checking the blocker still resolved.
+template <typename Admit>
+std::exception_ptr destroy_mid_admission(
+    const std::vector<finance::OptionSpec>& curve, Admit&& admit) {
+  const auto batch = finance::make_curve_batch(2);
+  std::optional<PricingService> service;
+  service.emplace(stalled_config("stall@1,ms=300", /*queue_capacity=*/4));
+  auto blocker = service->submit(batch[0], kNoTimeout);
+  wait_until_collected(*service);
+
+  std::exception_ptr error;
+  std::thread submitter([&] {
+    try {
+      admit(*service, curve);
+    } catch (...) {
+      error = std::current_exception();
+    }
+  });
+  while (service->queued_requests() < 4) std::this_thread::sleep_for(100us);
+  std::this_thread::sleep_for(20ms);  // the fifth element parks
+  service.reset();
+  submitter.join();
+  EXPECT_GT(blocker.get().price, 0.0);
+  return error;
+}
+
+TEST(PricingService, ShutdownMidAdmissionRefusesTheRestOfABlockingBatch) {
+  const auto curve = finance::make_curve_batch(11);
+  std::vector<double> out(curve.size(), -1.0);
+  const std::exception_ptr error = destroy_mid_admission(
+      curve, [&](PricingService& service,
+                 const std::vector<finance::OptionSpec>& specs) {
+        service.price_batch_blocking(specs.data(), specs.size(), out.data());
+      });
+  ASSERT_TRUE(error);
+  EXPECT_THROW(std::rethrow_exception(error), ServiceShutdownError);
+  // The admitted prefix was drained and priced before the call returned;
+  // the refused tail was never written.
+  const std::vector<double> expected =
+      direct_prices(Target::kFpgaKernelB, curve);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i], i < 4 ? expected[i] : -1.0) << "element " << i;
+  }
+}
+
+TEST(PricingService, ShutdownMidAdmissionRefusesTheRestOfASubmitBatch) {
+  const auto curve = finance::make_curve_batch(11);
+  const std::exception_ptr error = destroy_mid_admission(
+      curve, [](PricingService& service,
+                const std::vector<finance::OptionSpec>& specs) {
+        (void)service.submit_batch(specs);
+      });
+  ASSERT_TRUE(error);
+  EXPECT_THROW(std::rethrow_exception(error), ServiceShutdownError);
 }
 
 }  // namespace

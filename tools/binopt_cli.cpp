@@ -117,9 +117,6 @@ void print_usage() {
       "  --max-batch <N>    micro-batch ceiling    (default 256)\n"
       "  --linger-us <N>    batch linger window    (default 200)\n"
       "  --cache <N>        quote-cache capacity   (default 4096)\n"
-      "  --hot-path <name>  admission spine: lockfree|mutex\n"
-      "                     (default lockfree; mutex pins the\n"
-      "                     pre-redesign queue for A/B comparison)\n"
       "  --router [policy]  enable the fleet router (DESIGN.md 2.8):\n"
       "                     latency (default when bare) or energy;\n"
       "                     BINOPT_SERVICE_ROUTER sets the same knob\n"
@@ -152,7 +149,6 @@ void print_usage() {
       "  --workers <N>      backend worker count   (default 2)\n"
       "  --faults <spec>    fault plan for every worker (default\n"
       "                     'device-lost@1;transient@3x2;seed=7')\n"
-      "  --hot-path <name>  admission spine: lockfree|mutex\n"
       "  --router [policy]  route batches through the fleet router while\n"
       "                     the faults fire: latency (default when bare)\n"
       "                     or energy — prices must stay bit-identical\n"
@@ -198,17 +194,6 @@ void print_usage() {
       "  --out <path>       output file            (default trace.json)\n"
       "  --options <N>      options per workload   (default 8)\n"
       "  --steps <N>        tree steps             (default 64)\n");
-}
-
-/// The serve-bench mode: price one volatility curve three ways — directly
-/// on the accelerator (the parity reference), through the service from
-/// concurrent submitter threads, and again as one batch to replay the
-/// cache — then print throughput and service counters.
-core::HotPath parse_hot_path(const char* value) {
-  const std::string name = value;
-  if (name == "lockfree") return core::HotPath::kLockFree;
-  if (name == "mutex") return core::HotPath::kMutex;
-  fail("unknown hot path '" + name + "' (lockfree|mutex)");
 }
 
 /// `--router` takes an OPTIONAL policy value: bare `--router` means
@@ -257,11 +242,14 @@ void print_router_summary(const core::service::ServiceStats& stats,
   }
 }
 
+/// The serve-bench mode: price one volatility curve three ways — directly
+/// on the accelerator (the parity reference), through the service from
+/// concurrent submitter threads, and again as one batch to replay the
+/// cache — then print throughput and service counters.
 int run_serve_bench(std::size_t num_options, std::size_t steps,
                     core::Target target, std::size_t workers,
                     std::size_t submitters, std::size_t max_batch,
                     std::size_t linger_us, std::size_t cache_capacity,
-                    core::HotPath hot_path,
                     core::service::RouterConfig router,
                     core::service::OverloadConfig overload,
                     core::service::PriorityMix mix) {
@@ -277,7 +265,6 @@ int run_serve_bench(std::size_t num_options, std::size_t steps,
   config.max_batch = max_batch;
   config.linger = std::chrono::microseconds{linger_us};
   config.cache_capacity = cache_capacity;
-  config.hot_path = hot_path;
   config.router = router;
   config.overload = overload;
   core::PricingService service(config);
@@ -285,9 +272,8 @@ int run_serve_bench(std::size_t num_options, std::size_t steps,
   std::printf("serve-bench: %zu options, %zu steps, target %s\n",
               num_options, steps, core::to_string(target).c_str());
   std::printf("  %zu worker(s), %zu submitter(s), max_batch %zu, "
-              "linger %zu us, cache %zu, %s spine\n",
-              workers, submitters, max_batch, linger_us, cache_capacity,
-              hot_path == core::HotPath::kLockFree ? "lock-free" : "mutex");
+              "linger %zu us, cache %zu\n",
+              workers, submitters, max_batch, linger_us, cache_capacity);
 
   // Pass 1: concurrent submitters stream disjoint slices of the curve as
   // single-quote submissions — the micro-batcher has to reassemble them.
@@ -414,7 +400,7 @@ int run_serve_bench(std::size_t num_options, std::size_t steps,
 /// a full quarantine -> probe -> recovery cycle visible in the stats.
 int run_chaos(std::size_t num_options, std::size_t steps, core::Target target,
               std::size_t workers, const std::string& fault_spec,
-              core::HotPath hot_path, core::service::RouterConfig router,
+              core::service::RouterConfig router,
               core::service::OverloadConfig overload,
               core::service::PriorityMix mix, std::size_t queue_capacity) {
   using Clock = std::chrono::steady_clock;
@@ -440,7 +426,6 @@ int run_chaos(std::size_t num_options, std::size_t steps, core::Target target,
   config.health.probe_backoff = std::chrono::microseconds{2'000};
   config.health.max_probe_backoff = std::chrono::microseconds{50'000};
   config.worker_fault_plans.assign(workers, plan);
-  config.hot_path = hot_path;
   config.router = router;
   config.overload = overload;
   if (queue_capacity > 0) config.queue_capacity = queue_capacity;
@@ -1123,7 +1108,6 @@ int main_serve_bench(int argc, char** argv) {
   std::size_t linger_us = 200;
   std::size_t cache_capacity = 4096;
   core::Target target = core::Target::kCpuReference;
-  core::HotPath hot_path = core::HotPath::kLockFree;
   core::service::RouterConfig router;
   core::service::OverloadConfig overload;
   core::service::PriorityMix mix;
@@ -1154,8 +1138,6 @@ int main_serve_bench(int argc, char** argv) {
       linger_us = parse_size("--linger-us", value);
     } else if (flag == "--cache") {
       cache_capacity = parse_size("--cache", value);
-    } else if (flag == "--hot-path") {
-      hot_path = parse_hot_path(value);
     } else if (flag == "--shed-watermark") {
       overload.shed_watermark = parse_double("--shed-watermark", value);
     } else if (flag == "--sojourn-target-us") {
@@ -1184,8 +1166,8 @@ int main_serve_bench(int argc, char** argv) {
 
   try {
     return run_serve_bench(num_options, steps, target, workers, submitters,
-                           max_batch, linger_us, cache_capacity, hot_path,
-                           router, overload, mix);
+                           max_batch, linger_us, cache_capacity, router,
+                           overload, mix);
   } catch (const Error& e) {
     fail(e.what());
   }
@@ -1197,7 +1179,6 @@ int main_chaos(int argc, char** argv) {
   std::size_t workers = 2;
   core::Target target = core::Target::kFpgaKernelB;
   std::string fault_spec = "device-lost@1;transient@3x2;seed=7";
-  core::HotPath hot_path = core::HotPath::kLockFree;
   core::service::RouterConfig router;
   core::service::OverloadConfig overload;
   core::service::PriorityMix mix;
@@ -1219,7 +1200,6 @@ int main_chaos(int argc, char** argv) {
     else if (flag == "--steps") steps = parse_size("--steps", value);
     else if (flag == "--workers") workers = parse_size("--workers", value);
     else if (flag == "--faults") fault_spec = value;
-    else if (flag == "--hot-path") hot_path = parse_hot_path(value);
     else if (flag == "--watts-budget") {
       router.watts_budget = parse_double("--watts-budget", value);
     }
@@ -1249,8 +1229,8 @@ int main_chaos(int argc, char** argv) {
   if (steps < 2) fail("--steps must be >= 2");
 
   try {
-    return run_chaos(num_options, steps, target, workers, fault_spec,
-                     hot_path, router, overload, mix, queue_capacity);
+    return run_chaos(num_options, steps, target, workers, fault_spec, router,
+                     overload, mix, queue_capacity);
   } catch (const Error& e) {
     fail(e.what());
   }
