@@ -806,29 +806,8 @@ int main(int argc, char** argv) {
                 reps);
     std::printf("=================================================================\n\n");
 
-    // Direct reference: the same lattice fronts and bump sets the service
-    // uses, with all four legs per request priced by one private
-    // accelerator run — parity must hold bit for bit.
-    std::vector<finance::GreeksBumpSet> sets;
-    sets.reserve(curve.size());
-    std::vector<finance::OptionSpec> legs;
-    legs.reserve(4 * curve.size());
-    std::vector<finance::Greeks> expected;
-    expected.reserve(curve.size());
-    for (const finance::OptionSpec& spec : curve) {
-      sets.push_back(finance::GreeksBumpSet::from(spec, steps));
-      legs.push_back(sets.back().vega_up);
-      legs.push_back(sets.back().vega_down);
-      legs.push_back(sets.back().rho_up);
-      legs.push_back(sets.back().rho_down);
-    }
-    const std::vector<double> leg_prices = direct.run(legs).prices;
-    for (std::size_t i = 0; i < curve.size(); ++i) {
-      expected.push_back(finance::assemble_greeks(
-          finance::lattice_front_greeks(curve[i], steps), sets[i],
-          leg_prices[4 * i], leg_prices[4 * i + 1], leg_prices[4 * i + 2],
-          leg_prices[4 * i + 3]));
-    }
+    const std::vector<finance::Greeks> expected =
+        core::direct_greeks(curve, target, steps);
     const auto greeks_equal = [](const finance::Greeks& a,
                                  const finance::Greeks& b) {
       return a.price == b.price && a.delta == b.delta && a.gamma == b.gamma &&
@@ -896,7 +875,7 @@ int main(int argc, char** argv) {
         "\"workers\":%zu,\"reps\":%d,"
         "\"options_per_second\":%.1f,\"baseline_options_per_second\":%.1f,"
         "\"speedup_vs_baseline\":%.3f,\"direct_options_per_second\":%.1f}",
-        core::to_string(target).c_str(), num_options, legs.size(), steps,
+        core::to_string(target).c_str(), num_options, 4 * curve.size(), steps,
         workers, reps, batched_ops, baseline_ops, speedup, direct_ops);
     emit_json(row, json_out);
 

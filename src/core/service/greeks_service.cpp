@@ -23,6 +23,37 @@ double sorted_quantile(const std::vector<double>& sorted_ascending, double q) {
 
 }  // namespace
 
+std::vector<finance::Greeks> direct_greeks(
+    const std::vector<finance::OptionSpec>& book, Target target,
+    std::size_t steps) {
+  std::vector<finance::GreeksBumpSet> sets;
+  sets.reserve(book.size());
+  std::vector<finance::OptionSpec> legs;
+  legs.reserve(4 * book.size());
+  for (const finance::OptionSpec& spec : book) {
+    sets.push_back(finance::GreeksBumpSet::from(spec, steps));
+    legs.push_back(sets.back().vega_up);
+    legs.push_back(sets.back().vega_down);
+    legs.push_back(sets.back().rho_up);
+    legs.push_back(sets.back().rho_down);
+  }
+  PricingAccelerator::Config config;
+  config.target = target;
+  config.steps = steps;
+  config.compute_rmse = false;
+  PricingAccelerator direct(std::move(config));
+  const std::vector<double> leg_prices = direct.run(legs).prices;
+  std::vector<finance::Greeks> out;
+  out.reserve(book.size());
+  for (std::size_t i = 0; i < book.size(); ++i) {
+    out.push_back(finance::assemble_greeks(
+        finance::lattice_front_greeks(book[i], steps), sets[i],
+        leg_prices[4 * i], leg_prices[4 * i + 1], leg_prices[4 * i + 2],
+        leg_prices[4 * i + 3]));
+  }
+  return out;
+}
+
 GreeksService::GreeksService(PricingService& service, Config config)
     : service_(service), config_(config) {
   BINOPT_REQUIRE(config_.vol_bump > 0.0 && config_.rate_bump > 0.0,

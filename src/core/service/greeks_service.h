@@ -142,6 +142,14 @@ struct GreeksConfig {
   double rate_bump = 1e-4;
 };
 
+/// The reference a GreeksService result must match bit for bit: the same
+/// lattice fronts and bump sets the service uses, with the four bump legs
+/// of every request priced by one direct accelerator run on `target` — no
+/// service, no batching, no cache. Parity gates compare against it.
+[[nodiscard]] std::vector<finance::Greeks> direct_greeks(
+    const std::vector<finance::OptionSpec>& book, Target target,
+    std::size_t steps);
+
 class GreeksService {
 public:
   using Config = GreeksConfig;

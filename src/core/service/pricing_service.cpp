@@ -35,6 +35,9 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point from,
 /// one can delay progress.
 constexpr std::chrono::milliseconds kIdleNap{2};
 constexpr std::chrono::milliseconds kBackpressureNap{1};
+/// Armed EDF collection weighs this many queued requests per free batch
+/// slot (DESIGN.md §2.10).
+constexpr std::size_t kEdfWindow = 4;
 
 /// RAII registration of a submitter inside admission; the destructor
 /// spins on this count so no push can land after teardown.
@@ -103,55 +106,56 @@ ServiceOverloadError make_shed_error(Priority priority, std::size_t occupancy,
 
 }  // namespace
 
-PricingService::PricingService(ServiceConfig config)
-    : config_(std::move(config)),
-      cache_(config_.cache_capacity, config_.cache_shards) {
-  BINOPT_REQUIRE(!config_.targets.empty(),
+ServiceConfig PricingService::resolve(ServiceConfig config) {
+  BINOPT_REQUIRE(!config.targets.empty(),
                  "service needs at least one Target backend");
-  BINOPT_REQUIRE(config_.max_batch >= 1, "max_batch must be >= 1");
-  BINOPT_REQUIRE(config_.queue_capacity >= 1, "queue_capacity must be >= 1");
-  BINOPT_REQUIRE(config_.steps >= 2, "need at least two tree steps");
-  config_.retry.validate();
-  config_.health.validate();
-  BINOPT_REQUIRE(config_.worker_fault_plans.empty() ||
-                     config_.worker_fault_plans.size() ==
-                         config_.targets.size(),
+  BINOPT_REQUIRE(config.max_batch >= 1, "max_batch must be >= 1");
+  BINOPT_REQUIRE(config.queue_capacity >= 1, "queue_capacity must be >= 1");
+  BINOPT_REQUIRE(config.steps >= 2, "need at least two tree steps");
+  config.retry.validate();
+  config.health.validate();
+  BINOPT_REQUIRE(config.worker_fault_plans.empty() ||
+                     config.worker_fault_plans.size() ==
+                         config.targets.size(),
                  "worker_fault_plans must be empty or carry exactly one "
-                 "plan per target (got ", config_.worker_fault_plans.size(),
-                 " plans for ", config_.targets.size(), " targets)");
+                 "plan per target (got ", config.worker_fault_plans.size(),
+                 " plans for ", config.targets.size(), " targets)");
 
   // Routing: an explicit policy wins; kOff consults BINOPT_SERVICE_ROUTER
   // so deployments can turn the fleet router on without a code change.
-  config_.router.validate();
-  if (config_.router.policy == service::RouterPolicy::kOff) {
-    config_.router.policy = service::router_policy_from_env();
-  }
-  if (config_.router.enabled()) {
-    router_.emplace(config_.targets, config_.steps, config_.router);
+  config.router.validate();
+  if (config.router.policy == service::RouterPolicy::kOff) {
+    config.router.policy = service::router_policy_from_env();
   }
 
   // Overload layer (DESIGN.md §2.10): an explicit config wins; fields
   // left at zero fall back to BINOPT_SERVICE_SHED_WATERMARK /
   // BINOPT_SERVICE_SOJOURN_TARGET_US, mirroring the router's env knob.
+  config.overload.validate();
+  config.overload.apply_env();
+  config.overload.validate();
+  return config;
+}
+
+PricingService::PricingService(ServiceConfig config)
+    : config_(resolve(std::move(config))),
+      cache_(config_.cache_capacity, config_.cache_shards),
+      router_(config_.targets, config_.steps, config_.router),
+      // The admission credit, not the ring's rounded-up size, bounds the
+      // logical occupancy to queue_capacity.
+      ring_(service::next_pow2(config_.queue_capacity)) {
   // Disarmed (the default), overload_armed_ stays false and every
   // overload branch in the hot path is one never-taken comparison.
-  config_.overload.validate();
-  config_.overload.apply_env();
-  config_.overload.validate();
   overload_armed_ = config_.overload.enabled();
   if (overload_armed_) {
     controller_.emplace(config_.overload, config_.queue_capacity);
   }
 
-  // The admission credit, not the ring's rounded-up size, bounds the
-  // logical occupancy to queue_capacity.
-  const std::size_t ring_capacity = service::next_pow2(config_.queue_capacity);
-  if (!router_.has_value()) ring_.emplace(ring_capacity);
   // Arena bound: everything that can hold a slot at once — the queued
   // population, every worker's in-flight batch, and a margin of
   // submitters blocked mid-admission. Past the bound, acquire() waits for
   // recycling instead of growing (a second backpressure layer).
-  arena_.emplace(ring_capacity + config_.targets.size() * config_.max_batch +
+  arena_.emplace(ring_.capacity() + config_.targets.size() * config_.max_batch +
                  1024);
 
   tracer_ = config_.tracer ? config_.tracer : ocl::trace::env_tracer();
@@ -182,6 +186,7 @@ PricingService::~PricingService() {
   stopping_.store(true, std::memory_order_release);
   not_empty_.notify();
   not_full_.notify();
+  placement_changed_.notify();
   // Let every submitter leave admission first (blocked ones wake, see
   // stopping_, and bail), so no push can race the workers' final drain.
   while (admissions_in_flight_.load(std::memory_order_acquire) > 0) {
@@ -198,16 +203,7 @@ PricingService::~PricingService() {
   const auto error = std::make_exception_ptr(
       ServiceShutdownError("pricing service is shutting down"));
   Request* request = nullptr;
-  for (auto& worker : workers_) {
-    const std::lock_guard<std::mutex> lock(worker->route_mutex);
-    for (Request* r : worker->routed_queue) {
-      queue_count_.fetch_sub(1, std::memory_order_acq_rel);
-      fail(*r, error);
-      release_request(r);
-    }
-    worker->routed_queue.clear();
-  }
-  while (ring_.has_value() && ring_->try_pop(request)) {
+  while (ring_.try_pop(request)) {
     queue_count_.fetch_sub(1, std::memory_order_acq_rel);
     fail(*request, error);
     release_request(request);
@@ -254,22 +250,7 @@ void PricingService::count_down(Sink& sink, std::size_t n) {
   // Every element's write (price or first error) happens-before the last
   // count-down, which alone reads them.
   if (sink.remaining.fetch_sub(n) != n) return;
-  const bool failed = sink.failed.load();
-  if (sink.quote_promise) {
-    if (failed) {
-      sink.quote_promise->set_exception(sink.error);
-    } else {
-      sink.quote_promise->set_value(sink.quote);
-    }
-    sink.quote_promise.reset();
-  } else if (sink.batch_promise) {
-    if (failed) {
-      sink.batch_promise->set_exception(sink.error);
-    } else {
-      sink.batch_promise->set_value(std::move(sink.results));
-    }
-    sink.batch_promise.reset();
-  } else {
+  if (!sink.quote_promise && !sink.batch_promise) {
     // Stack sink: wake the blocked caller. Notify under the lock — the
     // sink dies with the caller's frame right after it sees `done`.
     const std::lock_guard<std::mutex> lock(sink.mutex);
@@ -277,11 +258,31 @@ void PricingService::count_down(Sink& sink, std::size_t n) {
     sink.cv.notify_all();
     return;
   }
-  sink.results = std::vector<double>();
-  sink.error = nullptr;
+  // Heap sink: take what the promise needs, return the sink to the pool,
+  // and only then publish. A client woken by its future thus always finds
+  // the sink recycled, so its next call never grows the pool.
+  auto quote_promise = std::exchange(sink.quote_promise, std::nullopt);
+  auto batch_promise = std::exchange(sink.batch_promise, std::nullopt);
+  const Quote quote = sink.quote;
+  std::vector<double> results = std::exchange(sink.results, {});
+  const std::exception_ptr error =
+      sink.failed.load() ? std::exchange(sink.error, nullptr) : nullptr;
   sink.failed.store(false);
-  const std::lock_guard<std::mutex> lock(sink_mutex_);
-  free_sinks_.push_back(&sink);
+  {
+    const std::lock_guard<std::mutex> lock(sink_mutex_);
+    free_sinks_.push_back(&sink);
+  }
+  if (quote_promise) {
+    if (error) {
+      quote_promise->set_exception(error);
+    } else {
+      quote_promise->set_value(quote);
+    }
+  } else if (error) {
+    batch_promise->set_exception(error);
+  } else {
+    batch_promise->set_value(std::move(results));
+  }
 }
 
 PricingService::Sink& PricingService::lease_sink(std::size_t n) {
@@ -427,7 +428,6 @@ std::exception_ptr PricingService::admit(const finance::OptionSpec* specs,
   const auto deadline = deadline_for(timeout, has_deadline);
   const auto admitted_at = std::chrono::steady_clock::now();
   const AdmissionScope scope(admissions_in_flight_);
-  std::size_t pick = 0;
   for (std::size_t i = 0; i < n; ++i) {
     Request* request = arena_->acquire();
     *request = Request{.spec = specs[i],
@@ -438,17 +438,6 @@ std::exception_ptr PricingService::admit(const finance::OptionSpec* specs,
                        .priority = priority,
                        .sink = &sink,
                        .index = i};
-    if (router_.has_value()) {
-      // Per-batch placement: one cost-model pick per max_batch chunk (the
-      // unit a worker launches), re-evaluated as earlier chunks land so a
-      // long curve spreads across the fleet instead of swamping the
-      // cheapest backend. pick() allocates nothing.
-      if (i % config_.max_batch == 0) {
-        pick = router_->pick(std::min(config_.max_batch, n - i));
-      }
-      request->routed_worker = pick;
-      request->has_route = true;
-    }
     const AdmitOutcome outcome = admit_one(request);
     switch (outcome.result) {
       case AdmitResult::kAdmitted:
@@ -567,21 +556,9 @@ PricingService::AdmitOutcome PricingService::admit_one(Request* request) {
     });
   }
   settle_block(std::chrono::steady_clock::now());
-  if (router_.has_value()) {
-    // Routed spine: the request was stamped with its placement just before
-    // admission; deliver it to that worker's private queue and account the
-    // backlog so subsequent picks see it.
-    Worker& worker = *workers_[request->routed_worker];
-    {
-      const std::lock_guard<std::mutex> lock(worker.route_mutex);
-      worker.routed_queue.push_back(request);
-    }
-    router_->on_enqueued(request->routed_worker, 1);
-  } else {
-    // With a credit held the ring has logical room; a failed push only
-    // means a consumer is mid-recycle on that slot — yield and retry.
-    while (!ring_->try_push(request)) std::this_thread::yield();
-  }
+  // With a credit held the ring has logical room; a failed push only
+  // means a consumer is mid-recycle on that slot — yield and retry.
+  while (!ring_.try_push(request)) std::this_thread::yield();
   not_empty_.notify();
   return {AdmitResult::kAdmitted};
 }
@@ -593,30 +570,24 @@ std::size_t PricingService::pop_available(
   // Armed overload layer: requests already past their deadline are
   // eagerly dropped while scanning the queues, so a dead request never
   // occupies an accelerator batch slot that live work could use. Drops
-  // are staged in worker scratch and resolved AFTER every spine lock is
+  // are staged in worker scratch and resolved AFTER the retry lock is
   // released (one shard-lock pass, then the sinks).
   const bool armed = overload_armed_;
-  const auto expired = [&](const Request* request) {
-    return armed && request->has_deadline &&
-           deadline_expired(now, request->deadline);
-  };
-  // EDF order for the routed deques: deadlined before undeadlined,
-  // earlier deadline first, admission order as the tie-break.
-  const auto edf_less = [](const Request* a, const Request* b) {
-    return service::edf_before(
-        service::EdfKey{a->has_deadline, a->deadline, a->admitted_at},
-        service::EdfKey{b->has_deadline, b->deadline, b->admitted_at});
-  };
   // Ready retries first: redelivered work is older than anything fresh.
-  // The atomic guard keeps the fault-free hot path off the retry lock.
-  if (retry_count_.load(std::memory_order_acquire) > 0) {
+  // A probe is the exception: it takes fresh work while there is any, so
+  // a request that already failed moves to a surviving backend instead of
+  // re-testing a quarantined one. The atomic guard keeps the fault-free
+  // hot path off the retry lock.
+  if (retry_count_.load(std::memory_order_acquire) > 0 &&
+      (!probing || queue_count_.load(std::memory_order_acquire) == 0)) {
     const bool stopping = stopping_.load(std::memory_order_acquire);
     const std::lock_guard<std::mutex> lock(retry_mutex_);
     for (auto it = retry_queue_.begin();
          it != retry_queue_.end() && out.size() < limit;) {
       Request* request = *it;
       // Expired retries are dead regardless of their backoff window.
-      if (!stopping && expired(request)) {
+      if (armed && !stopping && request->has_deadline &&
+          deadline_expired(now, request->deadline)) {
         self.eager_drops.push_back(request);
         it = retry_queue_.erase(it);
         continue;
@@ -632,74 +603,49 @@ std::size_t PricingService::pop_available(
     }
     retry_count_.store(retry_queue_.size(), std::memory_order_release);
   }
-  if (router_.has_value()) {
-    {
-      const std::lock_guard<std::mutex> lock(self.route_mutex);
-      std::deque<Request*>& queue = self.routed_queue;
-      if (armed && out.size() < limit) {
-        // Sweep expired entries first (erase invalidates deque iterators,
-        // so the EDF scan below runs on a clean queue), returning each
-        // one's admission credit while the lock is still held.
-        for (auto it = queue.begin(); it != queue.end();) {
-          if (!expired(*it)) {
-            ++it;
-            continue;
-          }
-          self.eager_drops.push_back(*it);
-          it = queue.erase(it);
-          queue_count_.fetch_sub(1, std::memory_order_acq_rel);
-          router_->on_dequeued(self.index, 1);
-        }
-      }
-      while (out.size() < limit && !queue.empty()) {
-        // Armed: the EDF-earliest entry (linear scan — the queue is bounded
-        // by queue_capacity and typically far smaller). Disarmed: FIFO.
-        const auto next =
-            armed ? std::min_element(queue.begin(), queue.end(), edf_less)
-                  : queue.begin();
-        out.push_back(*next);
-        queue.erase(next);
-        queue_count_.fetch_sub(1, std::memory_order_acq_rel);
-        router_->on_dequeued(self.index, 1);
-        ++popped;
-      }
-    }
-    // A probing (quarantined) backend receives no fresh placement, so with
-    // nothing of its own it would never launch a probe and never recover:
-    // steal one queued request from a peer. The steal shows up as a
-    // misroute — honest attribution over perfect placement.
-    if (probing && out.empty()) {
-      for (const auto& peer : workers_) {
-        if (peer->index == self.index) continue;
-        const std::lock_guard<std::mutex> lock(peer->route_mutex);
-        if (peer->routed_queue.empty()) continue;
-        out.push_back(peer->routed_queue.front());
-        peer->routed_queue.pop_front();
-        queue_count_.fetch_sub(1, std::memory_order_acq_rel);
-        router_->on_dequeued(peer->index, 1);
-        ++popped;
-        break;
-      }
-    }
-  } else {
-    // The ring pops FIFO (EDF within the window happens in collect_batch's
-    // sort); expiry is still enforced here so dead requests never occupy
-    // batch slots.
-    Request* request = nullptr;
-    while (out.size() < limit && ring_->try_pop(request)) {
-      queue_count_.fetch_sub(1, std::memory_order_acq_rel);
-      if (expired(request)) {
-        self.eager_drops.push_back(request);
-        continue;
-      }
+  // The ring. Disarmed, it pops FIFO up to the free slots. Armed, this is
+  // the EDF collection step: drain a window of kEdfWindow x the free
+  // slots, stage the expired, keep the earliest deadlines (deadlined
+  // before undeadlined, admission order as the tie-break) and push the
+  // rest back. Their admission credits are still held, so the push-back
+  // always fits. The window keeps a batch's cost bounded by its size, not
+  // by the queue depth. nth_element works in place and `out` is reserved
+  // to the window, so arming the layer keeps the zero-allocation path.
+  const std::size_t first = out.size();
+  const std::size_t window = (armed ? kEdfWindow : 1) * (limit - first);
+  std::size_t expired = 0;
+  Request* request = nullptr;
+  while (out.size() - first < window && ring_.try_pop(request)) {
+    if (armed && request->has_deadline &&
+        deadline_expired(now, request->deadline)) {
+      self.eager_drops.push_back(request);
+      ++expired;
+    } else {
       out.push_back(request);
-      ++popped;
     }
   }
+  if (out.size() > limit) {
+    const auto kept = out.begin() + static_cast<std::ptrdiff_t>(limit);
+    std::nth_element(out.begin() + static_cast<std::ptrdiff_t>(first), kept,
+                     out.end(), [](const Request* a, const Request* b) {
+                       return service::edf_before(
+                           {a->has_deadline, a->deadline, a->admitted_at},
+                           {b->has_deadline, b->deadline, b->admitted_at});
+                     });
+    for (auto it = kept; it != out.end(); ++it) {
+      while (!ring_.try_push(*it)) std::this_thread::yield();
+    }
+    out.resize(limit);
+  }
+  popped += out.size() - first;
+  if (out.size() - first + expired > 0) {
+    queue_count_.fetch_sub(out.size() - first + expired,
+                           std::memory_order_acq_rel);
+  }
   if (armed && !self.eager_drops.empty()) {
-    // Resolve the staged drops with every spine lock released. Their
-    // queue credits are returned here (retry-queue entries never held
-    // one — requeue() bypasses admission credits).
+    // Resolve the staged drops. Their queue credits were returned when
+    // they left the ring (retry-queue entries never held one — requeue()
+    // bypasses admission credits).
     const auto error = std::make_exception_ptr(ServiceTimeoutError(
         "quote request expired in queue (eagerly dropped before "
         "occupying a batch slot)"));
@@ -739,6 +685,23 @@ bool PricingService::collect_batch(Worker& self, std::vector<Request*>& out,
   out.clear();
   for (;;) {
     const auto now = std::chrono::steady_clock::now();
+    // The claim rule. The epoch is read first, so a peer claiming or
+    // settling during the decision ends the wait below at once instead of
+    // being missed.
+    const std::uint64_t epoch =
+        placement_epoch_.load(std::memory_order_acquire);
+    const std::size_t queued = queue_count_.load(std::memory_order_acquire) +
+                               retry_count_.load(std::memory_order_acquire);
+    if (!probing && queued > 0 && !stopping_.load(std::memory_order_acquire) &&
+        !router_.should_claim(self.index, std::min(limit, queued))) {
+      // A peer is the better placement: leave the chunk to it and look
+      // again once some worker claims or settles a batch.
+      placement_changed_.wait_until(now + kIdleNap, [&] {
+        return stopping_.load(std::memory_order_relaxed) ||
+               placement_epoch_.load(std::memory_order_relaxed) != epoch;
+      });
+      continue;
+    }
     pop_available(now, out, limit, self, probing);
     if (!out.empty()) break;
     if (stopping_.load(std::memory_order_acquire) &&
@@ -783,61 +746,14 @@ bool PricingService::collect_batch(Worker& self, std::vector<Request*>& out,
                     probing);
     }
   }
-  if (overload_armed_ && out.size() > 1) {
-    // Deadline-aware batch formation: EDF order within the collected
-    // window. The routed deques already popped earliest-deadline-first;
-    // this sort is what makes the FIFO ring's window deadline-aware, and
-    // it keeps retry-first pops in EDF order too. Insertion sort, not
-    // std::stable_sort: it is equally stable (pop order preserved among
-    // equal keys) but allocates no merge buffer, so arming the layer
-    // keeps the zero-allocation fast path
-    // (tests/core/test_alloc_hotpath.cpp pins this). The window is
-    // bounded by max_batch and usually far smaller, and the common case —
-    // already in order — is a linear scan.
-    const auto edf_key = [](const Request* request) {
-      return service::EdfKey{request->has_deadline, request->deadline,
-                             request->admitted_at};
-    };
-    for (std::size_t i = 1; i < out.size(); ++i) {
-      Request* request = out[i];
-      const service::EdfKey key = edf_key(request);
-      std::size_t j = i;
-      while (j > 0 && service::edf_before(key, edf_key(out[j - 1]))) {
-        out[j] = out[j - 1];
-        --j;
-      }
-      out[j] = request;
-    }
-  }
+  publish_in_flight(self.index, out.size());
   return true;
 }
 
-void PricingService::drain_routed_queue(Worker& worker) {
-  // Failover for a freshly-opened circuit: everything placed on this
-  // backend but not yet collected moves to the shared retry queue, where
-  // any surviving worker picks it up immediately. The requests keep their
-  // route stamp — the server that prices them counts the misroute.
-  std::vector<Request*>& staged = worker.requeue_ptrs;
-  staged.clear();
-  {
-    const std::lock_guard<std::mutex> lock(worker.route_mutex);
-    while (!worker.routed_queue.empty()) {
-      Request* request = worker.routed_queue.front();
-      worker.routed_queue.pop_front();
-      queue_count_.fetch_sub(1, std::memory_order_acq_rel);
-      router_->on_dequeued(worker.index, 1);
-      request->has_ready_at = false;
-      staged.push_back(request);
-    }
-  }
-  if (staged.empty()) return;
-  {
-    const std::lock_guard<std::mutex> lock(worker.shard_mutex);
-    worker.shard.failovers += staged.size();
-  }
-  requeue(staged.data(), staged.size());
-  not_full_.notify();
-  staged.clear();
+void PricingService::publish_in_flight(std::size_t backend, std::size_t n) {
+  router_.set_in_flight(backend, n);
+  placement_epoch_.fetch_add(1, std::memory_order_acq_rel);
+  placement_changed_.notify();
 }
 
 void PricingService::requeue(Request* const* requests, std::size_t n) {
@@ -886,7 +802,9 @@ void PricingService::worker_loop(std::size_t worker_index) {
   PricingAccelerator accelerator(std::move(acfg));
   // Reserve every scratch vector once: the steady-state collect -> price
   // -> resolve cycle then allocates nothing.
-  worker.batch.reserve(config_.max_batch);
+  // Armed EDF collection pops up to one window into the batch.
+  worker.batch.reserve((overload_armed_ ? kEdfWindow : 1) *
+                       config_.max_batch);
   worker.completions.reserve(config_.max_batch);
   worker.failures.reserve(config_.max_batch);
   worker.to_price.reserve(config_.max_batch);
@@ -896,7 +814,7 @@ void PricingService::worker_loop(std::size_t worker_index) {
   worker.to_brownout.reserve(config_.max_batch);
   worker.alternate_specs.reserve(config_.max_batch);
   worker.alternate_prices.reserve(config_.max_batch);
-  worker.eager_drops.reserve(config_.max_batch);
+  if (overload_armed_) worker.eager_drops.reserve(config_.queue_capacity);
   worker.specs.reserve(config_.max_batch);
   worker.tags.reserve(config_.max_batch);
   worker.prices.reserve(config_.max_batch);
@@ -915,14 +833,10 @@ void PricingService::worker_loop(std::size_t worker_index) {
     bool probing = false;
     // Quarantine gate: while this backend's circuit is open and the next
     // half-open probe is not due, pull no traffic — the shared queue
-    // fails the load over to the surviving workers. Shutdown overrides
-    // the gate so a broken backend cannot strand queued requests. Under
-    // routing the gate first mirrors the open circuit to the router (no
-    // fresh placement) and hands the already-placed backlog to the fleet.
-    if (router_.has_value() && !worker.health.serving()) {
-      router_->set_routable(worker.index, false);
-      drain_routed_queue(worker);
-    }
+    // fails the load over to the surviving workers, which stopped
+    // deferring to this backend when its batch settled unroutable.
+    // Shutdown overrides the gate so a broken backend cannot strand
+    // queued requests.
     while (!stopping_.load(std::memory_order_acquire) &&
            !worker.health.serving() &&
            !worker.health.probe_due(std::chrono::steady_clock::now())) {
@@ -933,15 +847,11 @@ void PricingService::worker_loop(std::size_t worker_index) {
     probing = !stopping_.load(std::memory_order_acquire) &&
               worker.health.state() == service::HealthState::kQuarantined;
     // A probe is one request: the smallest blast radius that still
-    // exercises the real pricing path end to end.
+    // exercises the real pricing path end to end. It bypasses the claim
+    // rule, so a quarantined backend always gets to prove itself.
     if (!collect_batch(worker, worker.batch,
                        probing ? 1 : config_.max_batch, probing)) {
       break;
-    }
-    if (router_.has_value()) {
-      // Keep the health mirror fresh on the serving path too (recovery
-      // flips it back on the first post-probe pass through here).
-      router_->set_routable(worker.index, worker.health.serving());
     }
     try {
       process_batch(worker, accelerator, probing);
@@ -959,6 +869,9 @@ void PricingService::worker_loop(std::size_t worker_index) {
         request = nullptr;
       }
     }
+    // Publish this backend's health and idle state.
+    router_.set_routable(worker.index, worker.health.serving());
+    publish_in_flight(worker.index, 0);
   }
 }
 
@@ -1025,16 +938,15 @@ void PricingService::process_batch(Worker& worker,
     delta.queue_wait_ns.record(sojourn_ns);
     if (overload_armed_) controller_->observe(sojourn_ns, now);
     earliest_admission = std::min(earliest_admission, request.admitted_at);
-    if (request.has_route) {
-      // Placement accounting: routed once (first collection — retries of
-      // the same request must not inflate it), misrouted per collection by
-      // a worker other than the routed one (failover, probe steal).
-      if (request.attempts == 0) {
-        ++delta.requests_routed;
-        ServiceStats::bump(delta.routed_by_backend, request.routed_worker);
-      }
-      if (request.routed_worker != worker.index) ++delta.requests_misrouted;
+    // Placement accounting: a request is placed where it is first
+    // collected (retries of it must not inflate requests_routed), and
+    // misrouted per later collection by another worker (retry, failover).
+    if (request.attempts == 0) {
+      request.routed_worker = worker.index;
+      ++delta.requests_routed;
+      ServiceStats::bump(delta.routed_by_backend, worker.index);
     }
+    if (request.routed_worker != worker.index) ++delta.requests_misrouted;
     // Expiry first: a stale quote is worthless even if cached — serving it
     // would hide that the client's deadline was missed.
     if (request.has_deadline && deadline_expired(now, request.deadline)) {
@@ -1109,17 +1021,21 @@ void PricingService::process_batch(Worker& worker,
         ++delta.requests_failed;
       }
     }
-    if (router_.has_value()) {
-      // Model-vs-measured feedback, faulted launches included: wasted wall
-      // time on a flaky backend is exactly the signal that should push
-      // traffic elsewhere before its circuit breaker trips. The histogram
-      // keeps the ratio in permille (1000 = model exact).
-      const double ratio = router_->record_measurement(
+    // Model-vs-measured feedback, faulted launches included: wasted wall
+    // time on a flaky backend is exactly the signal that should push
+    // traffic elsewhere before its circuit breaker trips. The histogram
+    // keeps the ratio in permille (1000 = model exact). A worker's first
+    // launch also pays one-time setup, which says nothing about its rate:
+    // fed back, it would make the backend look slow, and a backend that
+    // looks slow is rarely the one that claims, so it could not correct.
+    if (worker.warm) {
+      const double ratio = router_.record_measurement(
           worker.index, to_price.size(),
           elapsed_ns(launch_start, launch_end));
       delta.predicted_vs_measured.record(
           static_cast<std::uint64_t>(std::llround(ratio * 1000.0)));
     }
+    worker.warm = true;
     if (fault_error) {
       note_health(fatal ? worker.health.record_fatal(launch_end)
                         : worker.health.record_transient(launch_end));
@@ -1260,18 +1176,16 @@ void PricingService::process_batch(Worker& worker,
     Request* request = batch[done.pos];
     // `target` is always the backend that priced the quote: the cache key
     // pins hits to this worker's target, degradation reports the fallback.
-    // routed_target preserves the router's placement for attribution —
-    // after a failover or degradation the two legitimately differ.
+    // routed_target preserves the placement for attribution — after a
+    // failover or degradation the two legitimately differ.
     const Target priced_by =
         done.degraded ? Target::kCpuReference
                       : (done.browned_out ? brownout_target_for(target)
                                           : target);
-    const Target routed_target = request->has_route
-                                     ? config_.targets[request->routed_worker]
-                                     : priced_by;
     fulfil(*request,
-           Quote{done.price, priced_by, routed_target, done.from_cache,
-                 done.degraded, done.browned_out, done.accuracy_bound});
+           Quote{done.price, priced_by, config_.targets[request->routed_worker],
+                 done.from_cache, done.degraded, done.browned_out,
+                 done.accuracy_bound});
     release_request(request);
     batch[done.pos] = nullptr;
   }

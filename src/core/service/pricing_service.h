@@ -19,13 +19,13 @@
 //   sharding                 one worker per configured Target backend, all
 //                            pulling from one FIFO — an oversized batch
 //                            naturally spreads across backends
-//   fleet routing            (DESIGN.md §2.8, opt-in) ServiceConfig::router
-//                            replaces the shared FIFO with per-worker
-//                            routed queues: each admitted chunk is placed
-//                            on the backend the FleetRouter predicts
-//                            cheapest (latency, or J/option under a watts
-//                            budget), with an EWMA of model-vs-measured
-//                            error correcting the predictions per launch
+//   fleet routing            (DESIGN.md §2.8) a free worker claims the next
+//                            chunk only when the FleetRouter's policy says
+//                            so: always (off), unless a peer is predicted
+//                            to finish it sooner (latency), or only on the
+//                            most frugal backend under a watts budget
+//                            (energy); an EWMA of model-vs-measured error
+//                            corrects the predictions per launch
 //   admission control        bounded queue; submitters block (backpressure)
 //                            when it is full; per-request timeouts expire
 //                            stale quotes instead of wasting device time —
@@ -215,12 +215,13 @@ struct ServiceConfig {
   /// Quote-cache shard count; 0 picks automatically from cache_capacity
   /// (small caches stay one exact global LRU — see QuoteCache).
   std::size_t cache_shards = 0;
-  /// Cost-based fleet routing (DESIGN.md §2.8). kOff (the default) keeps
-  /// the shared-queue spine; kLatency/kEnergyBudget give every worker a
-  /// private routed queue and place each admitted chunk on the backend the
-  /// FleetRouter predicts cheapest. When left at kOff the constructor
-  /// consults BINOPT_SERVICE_ROUTER (off|latency|energy). With a single
-  /// target, routed prices are bit-identical to the unrouted service.
+  /// Cost-based fleet routing (DESIGN.md §2.8): the claim rule a free
+  /// worker applies before collecting from the shared queue. kOff (the
+  /// default) always claims; kLatency/kEnergyBudget leave the chunk to the
+  /// backend the FleetRouter predicts cheapest. When left at kOff the
+  /// constructor consults BINOPT_SERVICE_ROUTER (off|latency|energy).
+  /// Routing moves work, never math: prices stay bit-identical to a
+  /// direct run on whichever backend priced them.
   service::RouterConfig router;
   /// Overload control (DESIGN.md §2.10): priority-class shedding at
   /// admission, CoDel-style adaptive watermark, EDF drain with eager
@@ -241,9 +242,9 @@ struct Quote {
   /// backend, a degraded quote reports kCpuReference — never merely the
   /// backend the request was routed to.
   Target target = Target::kCpuReference;
-  /// Backend the FleetRouter selected at admission; == target unless the
-  /// request was moved (failover, probe steal, degradation). With routing
-  /// off it simply mirrors target.
+  /// Backend of the worker that first collected the request (where the
+  /// claim rule placed it); == target unless the request was moved
+  /// (retry or failover onto another worker, degradation, brownout).
   Target routed_target = Target::kCpuReference;
   bool from_cache = false;
   /// True when the configured backend gave up and the CPU-reference
@@ -393,11 +394,10 @@ private:
     /// admission and brownout eligibility at pricing time. Carried but
     /// inert while the overload layer is disarmed.
     Priority priority = Priority::kNormal;
-    /// FleetRouter placement (routing only): which worker's routed queue
-    /// the request was admitted to. `has_route` survives failover so the
+    /// Placement: the worker that first collected the request (stamped
+    /// when attempts == 0). It survives retries and failovers so the
     /// serving worker can count the misroute and report routed_target.
     std::size_t routed_worker = 0;
-    bool has_route = false;
     Sink* sink = nullptr;
     std::size_t index = 0;  ///< position within the sink
   };
@@ -437,11 +437,8 @@ private:
     alignas(64) service::BackendHealth health;
     /// Per-worker SplitMix64 state for backoff jitter.
     std::uint64_t rng = 0;
-    /// Private routed queue (routing only): admission pushes here instead
-    /// of the shared spine, so placement survives until collection. Own
-    /// cache line — submitters push while the owner pops.
-    alignas(64) std::mutex route_mutex;
-    std::deque<Request*> routed_queue BINOPT_GUARDED_BY(route_mutex);
+    /// Set after the first launch: only launches after it feed the router.
+    bool warm = false;
     /// Lazily-built fault-free alternate accelerator for the
     /// (target, steps) last asked of run_alternate(): the CPU-reference
     /// fallback for degrade_to_cpu, the brownout sibling (DESIGN.md
@@ -490,6 +487,10 @@ private:
   /// Leases a heap sink expecting `n` outcomes.
   Sink& lease_sink(std::size_t n);
 
+  /// Validates `config` and applies the BINOPT_SERVICE_* env fallbacks
+  /// (router policy, overload knobs) before any member is built from it.
+  static ServiceConfig resolve(ServiceConfig config);
+
   /// Admission gate: rejects specs the service must not accept (non-finite
   /// fields, out-of-range economics) with a ServiceRejectedError naming
   /// the offending field.
@@ -525,7 +526,7 @@ private:
 
   /// The one admission loop behind submit, submit_batch and
   /// price_batch_blocking. Leases a slot per spec (element i resolves
-  /// into sink index i), stamps its route, and admits it, blocking per
+  /// into sink index i) and admits it, blocking per
   /// element (backpressure is per option, so an oversized curve streams
   /// in as workers drain). Admission-deadline expiries are settled in
   /// place. A shed or shutdown stops the loop: the refused element and
@@ -536,11 +537,10 @@ private:
                            std::uint32_t cache_tag, Priority priority);
 
   /// Non-blocking: moves every currently-collectable request (ready
-  /// retries first, then the caller's own routed queue when routing is on,
-  /// else the ring's FIFO) into `out`, up to `limit` total. A quarantined
-  /// worker probing with nothing of its own steals one request from a
-  /// peer's routed queue so recovery probes never starve. Returns the
-  /// number popped.
+  /// retries first — for a probe, only once the ring is empty — then the
+  /// ring) into `out`, up to `limit` total. The ring pops FIFO; with the
+  /// overload layer armed it instead yields the earliest deadlines in a
+  /// window at the ring's head. Returns the number popped.
   std::size_t pop_available(std::chrono::steady_clock::time_point now,
                             std::vector<Request*>& out, std::size_t limit,
                             Worker& self, bool probing);
@@ -550,16 +550,19 @@ private:
   [[nodiscard]] bool retry_ready(std::chrono::steady_clock::time_point now);
 
   /// Pops up to `limit` requests, blocking while nothing is collectable
-  /// and lingering for stragglers. During shutdown retry backoffs are
-  /// ignored so draining stays fast. Returns false when the service is
-  /// stopping and the queues are drained.
+  /// and lingering for stragglers. A worker first asks the router whether
+  /// to claim the next chunk; while a peer is the better placement it
+  /// parks until some worker claims or settles a batch. Probes and
+  /// shutdown bypass the claim rule, and during shutdown retry backoffs
+  /// are ignored so draining stays fast. Returns false when the service
+  /// is stopping and the queues are drained.
   bool collect_batch(Worker& self, std::vector<Request*>& out,
                      std::size_t limit, bool probing);
 
-  /// Routing only: hands a quarantined worker's routed backlog to the
-  /// surviving fleet via the retry queue (failover semantics) so placement
-  /// never strands requests behind an open circuit.
-  void drain_routed_queue(Worker& worker);
+  /// Tells the router `backend` now has n options in flight (0 once its
+  /// batch settled) and wakes every worker that declined a chunk, so it
+  /// weighs the chunk again against the new load.
+  void publish_in_flight(std::size_t backend, std::size_t n);
 
   /// Internal redelivery (retry / failover): pushes requests onto the
   /// mutexed side queue, bypassing the admission capacity bound — workers
@@ -578,9 +581,9 @@ private:
 
   ServiceConfig config_;
   service::QuoteCache cache_;
-  /// Engaged when config_.router names an active policy (directly or via
-  /// BINOPT_SERVICE_ROUTER); nullopt keeps the shared-queue spine.
-  std::optional<service::FleetRouter> router_;
+  /// Placement policy (config_.router after the BINOPT_SERVICE_ROUTER
+  /// fallback); kOff makes every claim trivially true.
+  service::FleetRouter router_;
   ocl::trace::Tracer* tracer_ = nullptr;
   std::uint32_t trace_pid_ = 0;
   std::vector<std::unique_ptr<Worker>> workers_;
@@ -594,8 +597,8 @@ private:
   std::mutex sink_mutex_;
   std::deque<Sink> sink_storage_ BINOPT_GUARDED_BY(sink_mutex_);
   std::vector<Sink*> free_sinks_ BINOPT_GUARDED_BY(sink_mutex_);
-  /// The shared spine; nullopt under routing (per-worker routed queues).
-  std::optional<service::MpmcRing<Request*>> ring_;
+  /// The one request queue every policy collects from.
+  service::MpmcRing<Request*> ring_;
 
   /// Admission credits: logical main-queue occupancy, bounded by
   /// queue_capacity regardless of the ring's rounded-up size. On its own
@@ -610,6 +613,12 @@ private:
   /// submitters on not_full_. Untouched while the queues keep moving.
   service::EventGate not_empty_;
   service::EventGate not_full_;
+  /// Workers that declined a chunk park on placement_changed_ until a
+  /// peer claims or settles a batch (placement_epoch_ moves). Its notify
+  /// is one atomic load while nobody declined, so routing off never pays
+  /// for it.
+  alignas(64) std::atomic<std::uint64_t> placement_epoch_{0};
+  service::EventGate placement_changed_;
 
   std::atomic<bool> stopping_{false};
   /// Submitters currently inside admission; the destructor waits for this

@@ -67,7 +67,6 @@ FleetRouter::FleetRouter(const std::vector<Target>& targets, std::size_t steps,
                          RouterConfig config)
     : config_(config), steps_(steps) {
   config_.validate();
-  BINOPT_REQUIRE(config_.enabled(), "FleetRouter needs an active policy");
   BINOPT_REQUIRE(!targets.empty(), "FleetRouter needs at least one backend");
   backends_.reserve(targets.size());
   for (const Target target : targets) {
@@ -111,7 +110,7 @@ double FleetRouter::corrected_queue_seconds(std::size_t backend,
   BINOPT_REQUIRE(backend < backends_.size(), "backend index out of range");
   const Backend& b = *backends_[backend];
   const double queued = static_cast<double>(
-      b.outstanding.load(std::memory_order_relaxed) + n);
+      b.in_flight.load(std::memory_order_relaxed) + n);
   const double model =
       b.cost.fixed_seconds + queued * b.cost.seconds_per_option;
   return model * b.correction.load(std::memory_order_relaxed);
@@ -124,28 +123,27 @@ bool FleetRouter::any_routable() const {
   return false;
 }
 
-std::size_t FleetRouter::pick_latency(std::size_t n,
-                                      bool routable_only) const {
-  std::size_t best = 0;
-  double best_cost = std::numeric_limits<double>::infinity();
+bool FleetRouter::latency_claim(std::size_t backend, std::size_t n,
+                                bool routable_only) const {
+  // Claim unless some peer would finish this chunk strictly sooner, its
+  // in-flight work included: a free backend that is merely the second
+  // fastest still claims while the fastest is busy enough.
+  const double own = corrected_queue_seconds(backend, n);
   for (std::size_t i = 0; i < backends_.size(); ++i) {
+    if (i == backend) continue;
     if (routable_only &&
         !backends_[i]->routable.load(std::memory_order_relaxed)) {
       continue;
     }
-    const double cost = corrected_queue_seconds(i, n);
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = i;
-    }
+    if (corrected_queue_seconds(i, n) < own) return false;
   }
-  return best;
+  return true;
 }
 
 std::size_t FleetRouter::pick_energy(bool routable_only) const {
   // Two passes: first only backends under the watts budget, then — when
   // the budget excludes everything — all of them. A budget degrades
-  // placement; it must never leave a batch unroutable.
+  // placement; it must never leave a chunk unclaimed.
   for (const bool budgeted : {true, false}) {
     bool found = false;
     std::size_t best = 0;
@@ -179,25 +177,23 @@ std::size_t FleetRouter::pick_energy(bool routable_only) const {
   return 0;
 }
 
-std::size_t FleetRouter::pick(std::size_t n) const {
-  // Skip quarantined backends while any healthy one exists; with the whole
-  // fleet quarantined, route anyway (the probe path still drains work, and
-  // refusing would deadlock admission).
-  const bool routable_only = any_routable();
-  if (config_.policy == RouterPolicy::kEnergyBudget) {
-    return pick_energy(routable_only);
+bool FleetRouter::should_claim(std::size_t backend, std::size_t n) const {
+  BINOPT_REQUIRE(backend < backends_.size(), "backend index out of range");
+  // Defer only to routable peers while any exists; with the whole fleet
+  // quarantined, claim anyway (refusing would strand the queue).
+  switch (config_.policy) {
+    case RouterPolicy::kOff: return true;
+    case RouterPolicy::kLatency:
+      return latency_claim(backend, n, any_routable());
+    case RouterPolicy::kEnergyBudget:
+      return pick_energy(any_routable()) == backend;
   }
-  return pick_latency(n, routable_only);
+  return true;
 }
 
-void FleetRouter::on_enqueued(std::size_t backend, std::size_t n) {
+void FleetRouter::set_in_flight(std::size_t backend, std::size_t n) {
   BINOPT_REQUIRE(backend < backends_.size(), "backend index out of range");
-  backends_[backend]->outstanding.fetch_add(n, std::memory_order_relaxed);
-}
-
-void FleetRouter::on_dequeued(std::size_t backend, std::size_t n) {
-  BINOPT_REQUIRE(backend < backends_.size(), "backend index out of range");
-  backends_[backend]->outstanding.fetch_sub(n, std::memory_order_relaxed);
+  backends_[backend]->in_flight.store(n, std::memory_order_relaxed);
 }
 
 double FleetRouter::record_measurement(std::size_t backend, std::size_t n,
@@ -237,11 +233,6 @@ bool FleetRouter::routable(std::size_t backend) const {
 double FleetRouter::correction(std::size_t backend) const {
   BINOPT_REQUIRE(backend < backends_.size(), "backend index out of range");
   return backends_[backend]->correction.load(std::memory_order_relaxed);
-}
-
-std::uint64_t FleetRouter::outstanding_options(std::size_t backend) const {
-  BINOPT_REQUIRE(backend < backends_.size(), "backend index out of range");
-  return backends_[backend]->outstanding.load(std::memory_order_relaxed);
 }
 
 }  // namespace binopt::core::service

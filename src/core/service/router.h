@@ -1,11 +1,12 @@
 // FleetRouter — cost-based backend placement for the PricingService
 // (DESIGN.md §2.8).
 //
-// The shared-queue spine treats a heterogeneous fleet as interchangeable
-// pullers: a slow backend grabs the same batches as a fast one and the
-// paper's whole point — CPU/GPU/FPGA differ wildly in latency AND in
-// joules per option — is invisible to placement. The router replaces that
-// with per-batch cost prediction:
+// Every worker pulls from the service's one shared queue. Left alone, a
+// heterogeneous fleet then behaves as interchangeable pullers: a slow
+// backend grabs the same batches as a fast one, and the paper's whole
+// point — CPU/GPU/FPGA differ wildly in latency AND in joules per option
+// — is invisible to placement. The router decides, at collection time,
+// whether a free worker should claim the next chunk or leave it to a peer:
 //
 //   cost model    per backend, an affine fit of the calibrated analytic
 //                 models (PricingAccelerator::modelled_batch_seconds):
@@ -16,14 +17,16 @@
 //                 for unmodelled operating points (never NaN — see
 //                 energy::safe_joules_per_option).
 //
-//   policies      kLatency (default): minimize corrected completion time,
-//                 including the backend's outstanding backlog — i.e.
-//                 join-shortest-queue weighted by modelled speed.
-//                 kEnergyBudget: minimize modelled J/option among backends
-//                 whose power draw fits `watts_budget` (0 = uncapped);
-//                 when nothing fits the budget, the lowest-J/option
-//                 backend serves anyway — a budget must degrade placement,
-//                 never deadlock admission.
+//   policies      kOff: a free worker always claims (greedy work
+//                 stealing off the shared queue).
+//                 kLatency: a free worker claims unless a routable peer is
+//                 predicted to finish the chunk sooner, counting the
+//                 options that peer already has in flight.
+//                 kEnergyBudget: only the backend with the lowest
+//                 modelled J/option among those whose power draw fits
+//                 `watts_budget` (0 = uncapped) claims; when nothing fits
+//                 the budget, the lowest-J/option backend claims anyway —
+//                 a budget must degrade placement, never deadlock it.
 //
 //   feedback      every launch reports measured wall time; the router
 //                 keeps a per-backend EWMA of the measured/predicted
@@ -34,10 +37,11 @@
 //                 workers additionally flip `routable` off while their
 //                 BackendHealth is quarantined.
 //
-// Thread-safety: pick() runs on submitter threads, measurements and
-// routable flips on worker threads. All mutable state is per-backend
-// atomics (EWMA as an atomic<double> with a CAS loop, outstanding options,
-// routable flag) — no locks, and each backend sits on its own cache line.
+// Thread-safety: claim decisions, measurements, in-flight counts and
+// routable flips all run on worker threads. All mutable state is
+// per-backend atomics (EWMA as an atomic<double> with a CAS loop,
+// in-flight options, routable flag) — no locks, and each backend sits on
+// its own cache line.
 #pragma once
 
 #include <atomic>
@@ -54,7 +58,7 @@ namespace binopt::core::service {
 
 /// Placement policy for a heterogeneous fleet.
 enum class RouterPolicy {
-  kOff,           ///< shared-queue work stealing (the pre-router spine)
+  kOff,           ///< every free worker claims (greedy work stealing)
   kLatency,       ///< minimize corrected completion time (default routing)
   kEnergyBudget,  ///< minimize modelled J/option under a watts budget
 };
@@ -80,7 +84,6 @@ struct RouterConfig {
   double min_correction = 1e-3;
   double max_correction = 1e6;
 
-  [[nodiscard]] bool enabled() const { return policy != RouterPolicy::kOff; }
   /// Rejects non-finite/negative budgets, alpha outside (0, 1], and
   /// inverted correction clamps with a PreconditionError naming the field.
   void validate() const;
@@ -108,21 +111,19 @@ public:
   [[nodiscard]] double predicted_batch_seconds(std::size_t backend,
                                                std::size_t n) const;
   /// What the latency policy actually compares: EWMA-corrected model time
-  /// for the backend's outstanding backlog plus this batch.
+  /// for the backend's in-flight options plus a chunk of n.
   [[nodiscard]] double corrected_queue_seconds(std::size_t backend,
                                                std::size_t n) const;
 
-  /// Picks the backend for a batch of n options under the configured
-  /// policy. Quarantined (unroutable) backends are skipped while any
-  /// routable one exists; ties break toward the lowest index so placement
-  /// is deterministic for a given state. Does not mutate router state —
-  /// the service bumps outstanding via on_enqueued() as requests admit.
-  [[nodiscard]] std::size_t pick(std::size_t n) const;
+  /// Whether `backend`, free right now, should claim the next chunk of n
+  /// options from the shared queue under the configured policy. Unroutable
+  /// (quarantined) peers are ignored while any backend is routable; ties
+  /// claim, so identical backends never leave work waiting. Does not
+  /// mutate router state.
+  [[nodiscard]] bool should_claim(std::size_t backend, std::size_t n) const;
 
-  /// n options were admitted to `backend`'s queue.
-  void on_enqueued(std::size_t backend, std::size_t n);
-  /// n options left `backend`'s queue (collected, drained, or failed over).
-  void on_dequeued(std::size_t backend, std::size_t n);
+  /// `backend` now has n options in flight (0 once its batch settled).
+  void set_in_flight(std::size_t backend, std::size_t n);
 
   /// One launch of n options on `backend` took `measured_ns` of wall time;
   /// folds measured/predicted into the EWMA correction and returns that
@@ -130,26 +131,25 @@ public:
   double record_measurement(std::size_t backend, std::size_t n,
                             std::uint64_t measured_ns);
 
-  /// Worker-side health mirror: a quarantined backend stops receiving
-  /// fresh traffic without the router reading BackendHealth cross-thread.
+  /// Worker-side health mirror: peers stop deferring to a quarantined
+  /// backend without the router reading BackendHealth cross-thread.
   void set_routable(std::size_t backend, bool routable);
   [[nodiscard]] bool routable(std::size_t backend) const;
 
   [[nodiscard]] double correction(std::size_t backend) const;
-  [[nodiscard]] std::uint64_t outstanding_options(std::size_t backend) const;
 
 private:
-  /// Per-backend mutable state on its own cache line: submitters read
-  /// every backend on every pick, workers write only their own.
+  /// Per-backend mutable state on its own cache line: a claiming worker
+  /// reads every backend, each worker writes only its own.
   struct alignas(64) Backend {
     BackendCost cost;
     std::atomic<double> correction{1.0};
-    std::atomic<std::uint64_t> outstanding{0};
+    std::atomic<std::uint64_t> in_flight{0};
     std::atomic<bool> routable{true};
   };
 
-  [[nodiscard]] std::size_t pick_latency(std::size_t n,
-                                         bool routable_only) const;
+  [[nodiscard]] bool latency_claim(std::size_t backend, std::size_t n,
+                                   bool routable_only) const;
   [[nodiscard]] std::size_t pick_energy(bool routable_only) const;
   [[nodiscard]] bool any_routable() const;
 

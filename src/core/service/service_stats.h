@@ -36,11 +36,11 @@ namespace binopt::core::service {
 ///   requests answered by the CPU-reference fallback after the primary
 ///   gave up. Health: every BackendHealth transition, quarantine entries,
 ///   half-open probe outcomes, and full recoveries (circuit closed).
-///   Routing (DESIGN.md §2.8): requests_routed counts requests the
-///   FleetRouter placed (once, at their first collection);
-///   requests_misrouted counts collections by a worker other than the
-///   routed one (failover, probe steal) — honest attribution the router's
-///   accounting depends on.
+///   Routing (DESIGN.md §2.8): requests_routed counts requests placed on
+///   a worker (once, at their first collection, under every router
+///   policy); requests_misrouted counts later collections by a worker
+///   other than that one (retry, failover) — honest attribution the
+///   router's accounting depends on.
 ///   Overload (DESIGN.md §2.10): requests_shed_normal/_batch count
 ///   admission refusals per priority class (kRealtime never sheds, so it
 ///   needs no counter; shed requests are NOT counted in
@@ -109,10 +109,9 @@ struct ServiceStats {
   LogHistogram admission_block_ns;
 
   /// Per-backend placement, indexed by worker. routed_by_backend[i] =
-  /// requests the router assigned to worker i (counted at their first
-  /// collection); served_by_backend[i] = requests worker i completed
-  /// (router on or off — the fleet benchmark derives modelled J/option
-  /// from it). Vectors merge element-wise with zero-padding, so shards
+  /// requests worker i collected first (the placement its claim rule
+  /// made); served_by_backend[i] = requests worker i completed (the fleet
+  /// benchmark derives modelled J/option from it). Vectors merge element-wise with zero-padding, so shards
   /// that never touched a high index (router-induced load skew) merge
   /// bit-identically in any order — see add_padded().
   std::vector<std::uint64_t> routed_by_backend;

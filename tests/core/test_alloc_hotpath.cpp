@@ -5,7 +5,10 @@
 // performs NO heap allocation end to end: admission (arena slot + ring
 // push), batching (reused worker scratch), pricing (BatchPricer's reused
 // lanes), and resolution (stack countdown sink). It also bounds what the
-// future-returning front-ends allocate per call. It is a separate test
+// future-returning front-ends allocate per call. The pins run under both
+// routing off and the latency router: every policy shares the one queue
+// and the one collection path, so placement must not cost a heap
+// allocation either. It is a separate test
 // binary so the hooks cannot perturb the other suites or the
 // ThreadSanitizer job.
 #include <gtest/gtest.h>
@@ -91,7 +94,8 @@ using namespace std::chrono_literals;
 constexpr std::size_t kSteps = 64;
 constexpr std::size_t kBatch = 64;
 
-ServiceConfig hotpath_config() {
+ServiceConfig hotpath_config(
+    service::RouterPolicy policy = service::RouterPolicy::kOff) {
   ServiceConfig config;
   config.targets = {Target::kCpuReference};
   config.steps = kSteps;
@@ -99,16 +103,17 @@ ServiceConfig hotpath_config() {
   config.linger = 0us;
   config.queue_capacity = 256;
   config.cache_capacity = 0;  // cache insertions allocate by design
+  config.router.policy = policy;
   return config;
 }
 
-TEST(AllocHotPath, SteadyStateBlockingBatchMakesZeroHeapAllocations) {
+void expect_blocking_batches_allocate_nothing(service::RouterPolicy policy) {
   const auto specs = finance::make_curve_batch(kBatch);
   PricingAccelerator direct({Target::kCpuReference, kSteps,
                              /*compute_rmse=*/false});
   const std::vector<double> expected = direct.run(specs).prices;
 
-  PricingService service(hotpath_config());
+  PricingService service(hotpath_config(policy));
   std::vector<double> out(specs.size(), 0.0);
 
   // Warmup: lazily builds the worker's BatchPricer, reserves all scratch,
@@ -130,10 +135,19 @@ TEST(AllocHotPath, SteadyStateBlockingBatchMakesZeroHeapAllocations) {
   // submit -> ring -> batch -> price -> resolve never touches the heap.
   EXPECT_EQ(after - before, 0u)
       << (after - before) << " allocations across " << kMeasuredReps
-      << " blocking batches of " << specs.size();
+      << " blocking batches of " << specs.size() << " (router "
+      << to_string(policy) << ")";
 
   // And the zero-alloc path still prices correctly (bitwise).
   ASSERT_EQ(out, expected);
+}
+
+TEST(AllocHotPath, SteadyStateBlockingBatchMakesZeroHeapAllocations) {
+  expect_blocking_batches_allocate_nothing(service::RouterPolicy::kOff);
+}
+
+TEST(AllocHotPath, LatencyRoutedBlockingBatchMakesZeroHeapAllocations) {
+  expect_blocking_batches_allocate_nothing(service::RouterPolicy::kLatency);
 }
 
 TEST(AllocHotPath, FrontEndsAgreeBitwiseWithADirectRunOnOneWorker) {
@@ -155,7 +169,8 @@ TEST(AllocHotPath, FrontEndsAgreeBitwiseWithADirectRunOnOneWorker) {
   EXPECT_EQ(quote.price, expected.front());
 }
 
-TEST(AllocHotPath, ArmedOverloadLayerUnderTheWatermarkStaysZeroAlloc) {
+void expect_armed_overload_layer_allocates_nothing(
+    service::RouterPolicy policy) {
   // Arming shedding + the sojourn controller must not cost the fast path
   // its zero-allocation guarantee: under the watermark every admission
   // adds only an atomic occupancy read, and every collection only the
@@ -167,7 +182,7 @@ TEST(AllocHotPath, ArmedOverloadLayerUnderTheWatermarkStaysZeroAlloc) {
                              /*compute_rmse=*/false});
   const std::vector<double> expected = direct.run(specs).prices;
 
-  ServiceConfig config = hotpath_config();
+  ServiceConfig config = hotpath_config(policy);
   config.overload.shed_watermark = 0.9;    // 230 of 256: never reached
   config.overload.sojourn_target = 50ms;   // never exceeded either
   PricingService service(std::move(config));
@@ -188,7 +203,8 @@ TEST(AllocHotPath, ArmedOverloadLayerUnderTheWatermarkStaysZeroAlloc) {
 
   EXPECT_EQ(after - before, 0u)
       << (after - before) << " allocations across " << kMeasuredReps
-      << " blocking batches with the overload layer armed";
+      << " blocking batches with the overload layer armed (router "
+      << to_string(policy) << ")";
   ASSERT_EQ(out, expected);  // armed != different prices
 
   const auto stats = service.stats();
@@ -196,6 +212,15 @@ TEST(AllocHotPath, ArmedOverloadLayerUnderTheWatermarkStaysZeroAlloc) {
   EXPECT_EQ(stats.requests_shed_batch, 0u);
   EXPECT_EQ(stats.eager_deadline_drops, 0u);
   EXPECT_EQ(stats.brownout_completions, 0u);
+}
+
+TEST(AllocHotPath, ArmedOverloadLayerUnderTheWatermarkStaysZeroAlloc) {
+  expect_armed_overload_layer_allocates_nothing(service::RouterPolicy::kOff);
+}
+
+TEST(AllocHotPath, LatencyRoutedArmedOverloadLayerStaysZeroAlloc) {
+  expect_armed_overload_layer_allocates_nothing(
+      service::RouterPolicy::kLatency);
 }
 
 /// Steady-state heap allocations per call of `call`, averaged over
@@ -212,16 +237,25 @@ double allocations_per_call(Call&& call) {
   return static_cast<double>(after - before) / kMeasuredReps;
 }
 
-TEST(AllocHotPath, SteadyStateSubmitAllocationsStayBounded) {
+void expect_submit_allocations_bounded(service::RouterPolicy policy) {
   // submit() pays only for its promise (libstdc++ allocates the shared
   // state and the result storage separately): the request slot and the
   // completion sink are recycled, never allocated, in steady state. The
   // bound is what the promise-per-request front-end allocated.
   const auto specs = finance::make_curve_batch(2);
-  PricingService service(hotpath_config());
+  PricingService service(hotpath_config(policy));
   const double per_call = allocations_per_call(
       [&] { EXPECT_GT(service.submit(specs.front()).get().price, 0.0); });
-  EXPECT_LE(per_call, 2.0) << per_call << " allocations per submit()";
+  EXPECT_LE(per_call, 2.0) << per_call << " allocations per submit() (router "
+                           << to_string(policy) << ")";
+}
+
+TEST(AllocHotPath, SteadyStateSubmitAllocationsStayBounded) {
+  expect_submit_allocations_bounded(service::RouterPolicy::kOff);
+}
+
+TEST(AllocHotPath, LatencyRoutedSubmitAllocationsStayBounded) {
+  expect_submit_allocations_bounded(service::RouterPolicy::kLatency);
 }
 
 TEST(AllocHotPath, SteadyStateSubmitBatchAllocationsStayBounded) {

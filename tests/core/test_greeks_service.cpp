@@ -128,6 +128,37 @@ TEST(GreeksService, BatchParityAcrossACurve) {
   EXPECT_EQ(stats.greeks_legs, 4 * book.size());
 }
 
+// ---------------------------------------------------------------------------
+// Shape of a Greeks book priced end to end through the service pipeline.
+
+TEST(GreeksPipeline, CallDeltasDecreaseAcrossTheStrikeLadder) {
+  PricingService service(cpu_config());
+  GreeksService greeks(service);
+  const auto book = finance::make_curve_batch(15);
+  const std::vector<GreeksQuote> quotes = greeks.greeks_batch_blocking(book);
+  ASSERT_EQ(quotes.size(), book.size());
+  for (std::size_t i = 1; i < book.size(); ++i) {
+    EXPECT_LT(quotes[i].greeks.delta, quotes[i - 1].greeks.delta + 1e-6)
+        << "strike index " << i;
+  }
+  for (const GreeksQuote& quote : quotes) {
+    EXPECT_GE(quote.greeks.delta, -1e-9);
+    EXPECT_LE(quote.greeks.delta, 1.0 + 1e-9);
+    EXPECT_GT(quote.greeks.vega, 0.0);
+  }
+}
+
+TEST(GreeksPipeline, GammaPositiveNearTheMoney) {
+  ServiceConfig config = cpu_config();
+  config.steps = 128;
+  PricingService service(config);
+  GreeksService greeks(service);
+  const auto book = finance::make_curve_batch(5);  // strikes 60..140
+  const std::vector<GreeksQuote> quotes = greeks.greeks_batch_blocking(book);
+  ASSERT_EQ(quotes.size(), book.size());
+  EXPECT_GT(quotes[2].greeks.gamma, 0.0);  // the ATM point
+}
+
 TEST(GreeksService, OneSidedVegaSurvivesTheServicePath) {
   // The bump-underflow regression, end to end: sigma = 5e-5 at r = 0
   // degrades vega to a forward difference; the service must agree with

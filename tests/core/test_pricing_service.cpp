@@ -766,7 +766,8 @@ TEST(ServiceOverload, ExpiredRequestsAreEagerlyDroppedNotPriced) {
   EXPECT_EQ(stats.requests_completed, 1u);
 }
 
-TEST(ServiceOverload, EdfCollectionServesTheEarliestDeadlineFirst) {
+void expect_edf_collection_serves_earliest_deadline_first(
+    service::RouterPolicy policy) {
   // Launches 1-3 each stall 200ms, so the three requests queued behind
   // the blocker are priced one per ~200ms window. FIFO order would reach
   // the 500ms-deadline request last (~600ms — dead); EDF must pick it
@@ -774,9 +775,10 @@ TEST(ServiceOverload, EdfCollectionServesTheEarliestDeadlineFirst) {
   const auto batch = finance::make_curve_batch(4);
   ServiceConfig config =
       stalled_config("stall@1x3,ms=200", /*queue_capacity=*/8);
-  // The routed per-worker deque is the spine whose pop scans the whole
-  // queue for the earliest deadline.
-  config.router.policy = service::RouterPolicy::kLatency;
+  // Every policy shares the one queue and its one EDF collection step,
+  // which picks the earliest deadlines out of a window of four times the
+  // free batch slots: here all three queued requests.
+  config.router.policy = policy;
   config.overload.shed_watermark = 1.0;
   PricingService service(config);
 
@@ -794,6 +796,16 @@ TEST(ServiceOverload, EdfCollectionServesTheEarliestDeadlineFirst) {
   EXPECT_EQ(stats.requests_completed, 4u);
   EXPECT_EQ(stats.requests_timed_out, 0u);
   EXPECT_EQ(stats.eager_deadline_drops, 0u);
+}
+
+TEST(ServiceOverload, EdfCollectionServesTheEarliestDeadlineFirst) {
+  expect_edf_collection_serves_earliest_deadline_first(
+      service::RouterPolicy::kLatency);
+}
+
+TEST(ServiceOverload, EdfCollectionServesTheEarliestDeadlineFirstRoutingOff) {
+  expect_edf_collection_serves_earliest_deadline_first(
+      service::RouterPolicy::kOff);
 }
 
 TEST(ServiceOverload, BrownoutPricesBatchClassOnTheCheaperSiblingBitwise) {

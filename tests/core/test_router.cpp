@@ -1,25 +1,29 @@
-// FleetRouter suite (DESIGN.md §2.8): the energy/latency-aware dispatch
-// layer that replaces naive worker selection with per-batch cost
-// prediction off the paper's platform/energy models, continuously
-// corrected by a measured-vs-predicted feedback loop.
+// FleetRouter suite (DESIGN.md §2.8): the energy/latency-aware claim rule
+// that replaces naive work stealing with per-chunk cost prediction off
+// the paper's platform/energy models, continuously corrected by a
+// measured-vs-predicted feedback loop.
 //
 //   1. UNIT: policy parsing/validation, the exact affine decomposition of
-//      modelled_batch_seconds, deterministic placement under both
-//      policies, queue-depth weighting, routable masking, and EWMA
-//      feedback convergence after an injected slowdown.
+//      modelled_batch_seconds, deterministic claims under both policies,
+//      in-flight weighting, routable masking, and EWMA feedback
+//      convergence after an injected slowdown.
 //   2. SERVICE: routed traffic stays bit-identical to the unrouted
 //      service (single-target parity), the router organically starves a
 //      stalled backend before its circuit trips, and chaos-grade fault
 //      plans keep parity with honest routed/misrouted attribution.
 //
 // test_core runs under the CI ThreadSanitizer job, so the service-level
-// scenarios also race-check the routed-queue spine (per-worker deques,
-// probe steal, quarantine drain) against concurrent submitters.
+// scenarios also race-check collection-time placement (claim decisions,
+// deferral waits, quarantine failover) against concurrent submitters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <future>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/accelerator.h"
@@ -39,6 +43,15 @@ RouterConfig latency_config() {
   RouterConfig config;
   config.policy = RouterPolicy::kLatency;
   return config;
+}
+
+/// The backends that, free right now, would claim a chunk of n options.
+std::vector<std::size_t> claimants(const FleetRouter& router, std::size_t n) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < router.backend_count(); ++i) {
+    if (router.should_claim(i, n)) out.push_back(i);
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -122,7 +135,7 @@ TEST(FleetRouter, LatencyPolicyPicksTheModelledFastestBackend) {
     }
   }
   // Idle fleet, corrections at 1.0: placement is the argmin of the model.
-  EXPECT_EQ(router.pick(64), fastest);
+  EXPECT_EQ(claimants(router, 64), std::vector<std::size_t>{fastest});
 }
 
 TEST(FleetRouter, QueueDepthShiftsPlacementOffTheFastestBackend) {
@@ -130,30 +143,36 @@ TEST(FleetRouter, QueueDepthShiftsPlacementOffTheFastestBackend) {
                                      Target::kGpuKernelB,
                                      Target::kFpgaKernelB};
   FleetRouter router(fleet, kSteps, latency_config());
-  const std::size_t first = router.pick(64);
-  // Pile outstanding work onto the preferred backend until the corrected
-  // queue estimate makes somebody else cheaper (join-shortest-queue).
-  router.on_enqueued(first, 1u << 22);
-  const std::size_t second = router.pick(64);
+  const std::vector<std::size_t> first = claimants(router, 64);
+  ASSERT_EQ(first.size(), 1u);
+  // Pile in-flight work onto the preferred backend until the corrected
+  // estimate makes somebody else cheaper (join-shortest-queue).
+  router.set_in_flight(first[0], 1u << 22);
+  const std::vector<std::size_t> second = claimants(router, 64);
+  EXPECT_FALSE(second.empty());
   EXPECT_NE(second, first);
-  // Draining the queue restores the original placement.
-  router.on_dequeued(first, 1u << 22);
-  EXPECT_EQ(router.pick(64), first);
+  // Settling the batch restores the original placement.
+  router.set_in_flight(first[0], 0);
+  EXPECT_EQ(claimants(router, 64), first);
 }
 
 TEST(FleetRouter, UnroutableBackendsAreSkippedUntilNoneRemain) {
   const std::vector<Target> fleet = {Target::kCpuReference,
                                      Target::kCpuReference};
   FleetRouter router(fleet, kSteps, latency_config());
+  // Backend 1 measures 4x slower, so it normally defers to backend 0.
+  const auto four_x_ns = static_cast<std::uint64_t>(
+      router.predicted_batch_seconds(1, 1) * 4.0 * 1e9);
+  for (int i = 0; i < 32; ++i) router.record_measurement(1, 1, four_x_ns);
+  EXPECT_EQ(claimants(router, 1), std::vector<std::size_t>{0});
   router.set_routable(0, false);
-  EXPECT_EQ(router.pick(1), 1u);
-  // Whole fleet down: route anyway (the probe path drains it) instead of
-  // wedging admission.
+  EXPECT_TRUE(router.should_claim(1, 1));
+  // Whole fleet down: claim anyway (the probe path drains it) instead of
+  // stranding the queue.
   router.set_routable(1, false);
-  const std::size_t pick = router.pick(1);
-  EXPECT_LT(pick, fleet.size());
+  EXPECT_FALSE(claimants(router, 1).empty());
   router.set_routable(0, true);
-  EXPECT_EQ(router.pick(1), 0u);
+  EXPECT_EQ(claimants(router, 1), std::vector<std::size_t>{0});
 }
 
 TEST(FleetRouter, EnergyPolicyPicksTheMostFrugalBackendUnderBudget) {
@@ -174,7 +193,7 @@ TEST(FleetRouter, EnergyPolicyPicksTheMostFrugalBackendUnderBudget) {
   for (std::size_t i = 1; i < fleet.size(); ++i) {
     if (jpo[i] < jpo[frugal]) frugal = i;
   }
-  EXPECT_EQ(unbudgeted.pick(64), frugal);
+  EXPECT_EQ(claimants(unbudgeted, 64), std::vector<std::size_t>{frugal});
   // The paper's headline: the FPGA kernel is the energy-efficient target.
   EXPECT_EQ(fleet[frugal], Target::kFpgaKernelB);
 
@@ -182,7 +201,7 @@ TEST(FleetRouter, EnergyPolicyPicksTheMostFrugalBackendUnderBudget) {
   // frugal pick, not leave batches unroutable.
   config.watts_budget = 1e-3;
   const FleetRouter impossible(fleet, kSteps, config);
-  EXPECT_EQ(impossible.pick(64), frugal);
+  EXPECT_EQ(claimants(impossible, 64), std::vector<std::size_t>{frugal});
 }
 
 TEST(FleetRouter, FeedbackConvergesOnAnInjectedFourXSlowdown) {
@@ -231,6 +250,29 @@ std::vector<double> direct_prices(const std::vector<finance::OptionSpec>& batch,
   return direct.run(batch).prices;
 }
 
+/// Wall milliseconds of one warm direct launch of `n` options on `target`:
+/// the slowest of three after a warm-up launch. Sanitizer and debug
+/// builds run a launch tens of times slower than an optimised one, so a
+/// test that needs one backend to be clearly slower sizes its stall from
+/// this instead of from a fixed figure.
+std::uint64_t warm_launch_ms(Target target, std::size_t n) {
+  const auto batch = finance::make_curve_batch(n);
+  PricingAccelerator::Config config;
+  config.target = target;
+  config.steps = kSteps;
+  config.compute_rmse = false;
+  PricingAccelerator direct(std::move(config));
+  (void)direct.run(batch);
+  std::chrono::steady_clock::duration slowest{};
+  for (int i = 0; i < 3; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    (void)direct.run(batch);
+    slowest = std::max(slowest, std::chrono::steady_clock::now() - start);
+  }
+  return static_cast<std::uint64_t>(
+      std::chrono::ceil<std::chrono::milliseconds>(slowest).count());
+}
+
 TEST(RoutedService, SingleTargetRoutingIsBitIdenticalToUnrouted) {
   const auto batch = finance::make_curve_batch(96);
   ServiceConfig config;
@@ -259,10 +301,12 @@ TEST(RoutedService, SingleTargetRoutingIsBitIdenticalToUnrouted) {
 }
 
 TEST(RoutedService, FeedbackStarvesAStalledBackendBeforeItsCircuitTrips) {
-  // Two identical backends; worker 1 stalls 5ms on EVERY launch (the
-  // stall succeeds — health never trips, the circuit stays closed). The
+  // Two identical backends; worker 1 stalls on EVERY launch (the stall
+  // succeeds — health never trips, the circuit stays closed). The
   // router's measured-vs-predicted feedback is the only mechanism that
-  // can notice, and it must shift the traffic share toward worker 0.
+  // can notice, and it must shift the traffic share toward worker 0. The
+  // stall is at least 5 ms and at least four warm launches, so worker 1
+  // is clearly the slower backend in every build type.
   ServiceConfig config;
   config.targets.assign(2, Target::kFpgaKernelB);
   config.steps = kSteps;
@@ -271,8 +315,10 @@ TEST(RoutedService, FeedbackStarvesAStalledBackendBeforeItsCircuitTrips) {
   config.cache_capacity = 0;
   config.router.policy = RouterPolicy::kLatency;
   config.worker_fault_plans.resize(2);
-  config.worker_fault_plans[1] =
-      ocl::faults::parse_fault_plan("stall@1x100000,ms=5");
+  const std::uint64_t stall_ms =
+      std::max<std::uint64_t>(5, 4 * warm_launch_ms(Target::kFpgaKernelB, 8));
+  config.worker_fault_plans[1] = ocl::faults::parse_fault_plan(
+      "stall@1x100000,ms=" + std::to_string(stall_ms));
 
   const auto batch = finance::make_curve_batch(160);
   const std::vector<double> expected =

@@ -7,7 +7,8 @@
 
 #include <cmath>
 
-#include "core/greeks_pipeline.h"
+#include "core/service/greeks_service.h"
+#include "core/service/pricing_service.h"
 #include "core/vol_curve_pipeline.h"
 #include "finance/vol_curve.h"
 #include "finance/vol_surface.h"
@@ -84,16 +85,21 @@ TEST(TraderWorkflow, ChainsToCurvesToSurfaceToGreeks) {
     spec.volatility = surface.interpolate(1.0, k);
     book.push_back(spec);
   }
-  core::GreeksPipeline greeks({core::Target::kGpuKernelB, steps, 1e-3, 1e-3});
-  const core::BatchGreeks g = greeks.run(book);
-  for (std::size_t i = 0; i < book.size(); ++i) {
-    EXPECT_GT(g.price[i], 0.0);
-    EXPECT_GE(g.delta[i], -1e-9);
-    EXPECT_LE(g.delta[i], 1.0 + 1e-9);
-    EXPECT_GT(g.vega[i], 0.0);
+  core::ServiceConfig service_config;
+  service_config.targets = {core::Target::kGpuKernelB};
+  service_config.steps = steps;
+  core::PricingService service(service_config);
+  core::GreeksService greeks(service);
+  const std::vector<core::GreeksQuote> g = greeks.greeks_batch_blocking(book);
+  ASSERT_EQ(g.size(), book.size());
+  for (const core::GreeksQuote& quote : g) {
+    EXPECT_GT(quote.greeks.price, 0.0);
+    EXPECT_GE(quote.greeks.delta, -1e-9);
+    EXPECT_LE(quote.greeks.delta, 1.0 + 1e-9);
+    EXPECT_GT(quote.greeks.vega, 0.0);
   }
   // Deltas fall across the strike ladder (calls).
-  EXPECT_GT(g.delta.front(), g.delta.back());
+  EXPECT_GT(g.front().greeks.delta, g.back().greeks.delta);
 }
 
 TEST(TraderWorkflow, FpgaTargetDeliversTheSameCurveWithinOperatorError) {

@@ -208,14 +208,11 @@ core::service::RouterPolicy parse_router_flag(int argc, char** argv, int& i) {
 
 /// Routing summary for serve-bench/chaos: placement counters, per-backend
 /// attribution, and the model-vs-measured fit the feedback loop converges
-/// on. Prints nothing when routing is off. Mirrors the service's policy
-/// resolution: an explicit --router wins, kOff consults the env knob.
+/// on. Prints nothing when routing is off. `config` is the service's
+/// resolved config, so the env knob is already folded into its policy.
 void print_router_summary(const core::service::ServiceStats& stats,
                           const core::ServiceConfig& config) {
-  core::service::RouterPolicy policy = config.router.policy;
-  if (policy == core::service::RouterPolicy::kOff) {
-    policy = core::service::router_policy_from_env();
-  }
+  const core::service::RouterPolicy policy = config.router.policy;
   if (policy == core::service::RouterPolicy::kOff) return;
   std::printf("  router    : policy %s, %llu routed, %llu misrouted\n",
               core::service::to_string(policy).c_str(),
@@ -366,7 +363,7 @@ int run_serve_bench(std::size_t num_options, std::size_t steps,
                 static_cast<unsigned long long>(stats.eager_deadline_drops),
                 static_cast<unsigned long long>(stats.brownout_completions));
   }
-  print_router_summary(stats, config);
+  print_router_summary(stats, service.config());
 
   // Browned-out quotes are excluded from bitwise parity by contract (the
   // Quote says so itself); everything else must match to the last bit.
@@ -501,7 +498,7 @@ int run_chaos(std::size_t num_options, std::size_t steps, core::Target target,
                 static_cast<unsigned long long>(stats.eager_deadline_drops),
                 static_cast<unsigned long long>(stats.brownout_completions));
   }
-  print_router_summary(stats, config);
+  print_router_summary(stats, service.config());
 
   bool ok = true;
   if (mismatches != 0) {
@@ -567,48 +564,23 @@ std::size_t greeks_mismatch(const finance::Greeks& a,
   return n;
 }
 
-/// The greeks-bench mode: for each target, assemble a direct reference
-/// (shared lattice front + bump set, legs priced by a private accelerator
-/// run of the whole leg list), then hold the GreeksService to bitwise
-/// parity on a cold pass and a cache-replay pass. On the CPU reference the
-/// service must additionally match finance::binomial_greeks literally.
+/// The greeks-bench mode: for each target, hold the GreeksService to
+/// bitwise parity with core::direct_greeks on a cold pass and a
+/// cache-replay pass. On the CPU reference the service must additionally
+/// match finance::binomial_greeks literally.
 int run_greeks_bench(std::size_t num_requests, std::size_t steps,
                      std::size_t cache_capacity,
                      const std::vector<core::Target>& targets) {
   using Clock = std::chrono::steady_clock;
   const auto book = finance::make_curve_batch(num_requests);
 
-  // The bump sets (and the host-side lattice fronts) are target-independent;
-  // only the four leg prices differ per target.
-  std::vector<finance::GreeksBumpSet> sets;
-  sets.reserve(book.size());
-  std::vector<finance::OptionSpec> legs;
-  legs.reserve(4 * book.size());
-  std::vector<finance::LatticeFront> fronts;
-  fronts.reserve(book.size());
-  for (const finance::OptionSpec& spec : book) {
-    sets.push_back(finance::GreeksBumpSet::from(spec, steps));
-    legs.push_back(sets.back().vega_up);
-    legs.push_back(sets.back().vega_down);
-    legs.push_back(sets.back().rho_up);
-    legs.push_back(sets.back().rho_down);
-    fronts.push_back(finance::lattice_front_greeks(spec, steps));
-  }
-
   std::printf("greeks-bench: %zu requests (%zu legs), %zu steps, cache %zu\n",
-              book.size(), legs.size(), steps, cache_capacity);
+              book.size(), 4 * book.size(), steps, cache_capacity);
 
   std::size_t total_mismatches = 0;
   for (const core::Target target : targets) {
-    core::PricingAccelerator direct({target, steps, /*compute_rmse=*/false});
-    const std::vector<double> leg_prices = direct.run(legs).prices;
-    std::vector<finance::Greeks> reference;
-    reference.reserve(book.size());
-    for (std::size_t i = 0; i < book.size(); ++i) {
-      reference.push_back(finance::assemble_greeks(
-          fronts[i], sets[i], leg_prices[4 * i], leg_prices[4 * i + 1],
-          leg_prices[4 * i + 2], leg_prices[4 * i + 3]));
-    }
+    const std::vector<finance::Greeks> reference =
+        core::direct_greeks(book, target, steps);
 
     core::ServiceConfig config;
     config.targets = {target};
