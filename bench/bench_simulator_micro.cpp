@@ -1,9 +1,10 @@
 // Micro-benchmarks of the simulation substrate itself (google-benchmark):
-// the reference pricer's node-update rate, fiber context-switch cost,
-// barrier round-trips, the approximate math operators, and the end-to-end
+// the reference pricer's node-update rate, barrier round-trips of the
+// coroutine work-items, the approximate math operators, and the end-to-end
 // functional kernels. These measure THIS machine's simulator, not the
 // paper's hardware — they bound how large the functional experiments can
-// be made and document the cost of the fiber-based barrier machinery.
+// be made. BM_WorkGroupBarrierRound is the substrate number: the cost of
+// one work-item crossing one barrier.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -17,7 +18,6 @@
 #include "kernels/kernel_a.h"
 #include "kernels/kernel_b.h"
 #include "ocl/device.h"
-#include "ocl/fiber.h"
 #include "ocl/platform.h"
 
 namespace {
@@ -38,28 +38,15 @@ void BM_ReferencePricer(benchmark::State& state) {
 }
 BENCHMARK(BM_ReferencePricer)->Arg(128)->Arg(1024);
 
-void BM_FiberSwitch(benchmark::State& state) {
-  ocl::Fiber fiber;
-  bool run = true;
-  fiber.start([&] {
-    while (run) fiber.yield();
-  });
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fiber.resume());
-  }
-  run = false;
-  (void)fiber.resume();
-}
-BENCHMARK(BM_FiberSwitch);
-
 void BM_WorkGroupBarrierRound(benchmark::State& state) {
   const auto group = static_cast<std::size_t>(state.range(0));
   ocl::WorkGroupExecutor executor(32 * 1024, 1024);
   ocl::RuntimeStats stats;
   ocl::Kernel kernel;
   kernel.name = "barrier_bench";
-  kernel.body = [](ocl::WorkItemCtx& ctx, const ocl::KernelArgs&) {
-    for (int i = 0; i < 16; ++i) ctx.barrier();
+  kernel.body = [](ocl::WorkItemCtx& ctx,
+                   const ocl::KernelArgs&) -> ocl::WorkItemTask {
+    for (int i = 0; i < 16; ++i) co_await ctx.barrier();
   };
   ocl::KernelArgs args;
   for (auto _ : state) {
@@ -148,10 +135,11 @@ void BM_ComputeUnitSweep(benchmark::State& state) {
                      ocl::DeviceLimits{64u << 20, 16u << 10, 64, units});
   ocl::Kernel kernel;
   kernel.name = "cu_sweep";
-  kernel.body = [](ocl::WorkItemCtx& ctx, const ocl::KernelArgs&) {
+  kernel.body = [](ocl::WorkItemCtx& ctx,
+                   const ocl::KernelArgs&) -> ocl::WorkItemTask {
     auto row = ctx.local_array<double>(ctx.local_size());
     row.set(ctx.local_id(), 1.0 + 1e-9 * static_cast<double>(ctx.global_id()));
-    ctx.barrier();
+    co_await ctx.barrier();
     double acc = row.get((ctx.local_id() + 1) % ctx.local_size());
     for (int i = 0; i < 256; ++i) acc = acc * 1.0000001 + 1e-12;
     benchmark::DoNotOptimize(acc);

@@ -29,8 +29,9 @@ ocl::Kernel make_kernel_a(std::size_t steps) {
   BINOPT_REQUIRE(steps >= 1, "kernel A needs at least one tree step");
   ocl::Kernel kernel;
   kernel.name = "binomial_node_dataflow";
-  kernel.uses_barriers = false;  // pure dataflow: no in-group synchronisation
-  kernel.body = [steps](ocl::WorkItemCtx& ctx, const ocl::KernelArgs& args) {
+  // Pure dataflow: no in-group synchronisation, so the body never suspends.
+  kernel.body = [steps](ocl::WorkItemCtx& ctx,
+                        const ocl::KernelArgs& args) -> ocl::WorkItemTask {
     // Argument layout (bound by the host program):
     //   0: S read buffer   1: V read buffer
     //   2: S write buffer  3: V write buffer
@@ -53,7 +54,7 @@ ocl::Kernel make_kernel_a(std::size_t steps) {
     // at startup/drain simply skip the node.
     const long long option = option_in_flight(
         batch, static_cast<long long>(t), static_cast<long long>(steps));
-    if (option < 0 || option >= num_options) return;
+    if (option < 0 || option >= num_options) co_return;
 
     const std::size_t slot =
         static_cast<std::size_t>(option) % (steps + 1) * kParamStride;

@@ -72,7 +72,8 @@ ocl::Kernel make_kernel_b_fixed(std::size_t steps) {
   using Fx = fpga::PriceFixed;
   ocl::Kernel kernel;
   kernel.name = "binomial_workgroup_option_q17_46";
-  kernel.body = [steps](ocl::WorkItemCtx& ctx, const ocl::KernelArgs& args) {
+  kernel.body = [steps](ocl::WorkItemCtx& ctx,
+                        const ocl::KernelArgs& args) -> ocl::WorkItemTask {
     auto params = ctx.global<double>(args.buffer(0));
     auto results = ctx.global<double>(args.buffer(1));
 
@@ -108,7 +109,7 @@ ocl::Kernel make_kernel_b_fixed(std::size_t steps) {
       const Fx s_top = s0 * Fx::ipow(u, static_cast<std::uint64_t>(n));
       values.set(n, payoff(s_top).raw());
     }
-    ctx.barrier();
+    co_await ctx.barrier();
 
     for (std::size_t t = n; t-- > 0;) {
       Fx new_value = Fx::zero();
@@ -121,9 +122,9 @@ ocl::Kernel make_kernel_b_fixed(std::size_t steps) {
         new_value = american ? Fx::max(payoff(s_priv), continuation)
                              : continuation;
       }
-      ctx.barrier();
+      co_await ctx.barrier();
       if (active) values.set(k, new_value.raw());
-      ctx.barrier();
+      co_await ctx.barrier();
     }
 
     if (k == 0) results.set(option, Fx::from_raw(values.get(0)).to_double());
@@ -142,8 +143,9 @@ ocl::Kernel make_kernel_b(std::size_t steps, MathMode mode, bool host_leaves) {
   ocl::Kernel kernel;
   kernel.name = host_leaves ? "binomial_workgroup_option_hostleaves"
                             : "binomial_workgroup_option";
-  kernel.body = [steps, mode, host_leaves](ocl::WorkItemCtx& ctx,
-                                           const ocl::KernelArgs& args) {
+  kernel.body = [steps, mode, host_leaves](
+                    ocl::WorkItemCtx& ctx,
+                    const ocl::KernelArgs& args) -> ocl::WorkItemTask {
     // Argument layout: 0: option parameter records, 1: result buffer,
     // 2 (host_leaves only): host-computed leaf asset prices.
     auto params = ctx.global<double>(args.buffer(0));
@@ -195,7 +197,7 @@ ocl::Kernel make_kernel_b(std::size_t steps, MathMode mode, bool host_leaves) {
         values.set(n, device_payoff(mode, sign, s_top, strike));
       }
     }
-    ctx.barrier();
+    co_await ctx.barrier();
 
     // Backward iteration: work-item k updates V(t,k) while k <= t, going
     // idle afterwards ("left idle or its results are ignored").
@@ -215,9 +217,9 @@ ocl::Kernel make_kernel_b(std::size_t steps, MathMode mode, bool host_leaves) {
       }
       // First barrier: everyone has read the old row (the paper's
       // temporary-copy step); second: the row is consistently updated.
-      ctx.barrier();
+      co_await ctx.barrier();
       if (active) values.set(k, new_value);
-      ctx.barrier();
+      co_await ctx.barrier();
     }
 
     if (k == 0) results.set(option, values.get(0));

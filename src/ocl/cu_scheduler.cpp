@@ -42,14 +42,13 @@ std::size_t resolve_compute_units(std::size_t limit_value) {
 
 ComputeUnitScheduler::ComputeUnitScheduler(std::size_t compute_units,
                                            std::size_t local_mem_bytes,
-                                           std::size_t max_workgroup_size,
-                                           std::size_t stack_bytes) {
+                                           std::size_t max_workgroup_size) {
   BINOPT_REQUIRE(compute_units >= 1, "need at least one compute unit");
   units_.reserve(compute_units);
   for (std::size_t i = 0; i < compute_units; ++i) {
     units_.push_back(std::make_unique<Unit>(static_cast<std::uint32_t>(i),
                                             local_mem_bytes,
-                                            max_workgroup_size, stack_bytes));
+                                            max_workgroup_size));
   }
 }
 
@@ -284,8 +283,8 @@ void ComputeUnitScheduler::run_chunks(Unit& unit) {
                                       unit.shard);
         }
       } catch (...) {
-        // run_group has already drained this unit's fibers; remember the
-        // error, stop the fleet, and let execute() rethrow.
+        // run_group has already destroyed this group's frames; remember
+        // the error, stop the fleet, and let execute() rethrow.
         record_error(std::current_exception(), g);
         cancelled_.store(true, std::memory_order_release);
         return;

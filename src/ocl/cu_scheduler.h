@@ -4,19 +4,19 @@
 //
 // OpenCL guarantees nothing about inter-group ordering, so any assignment
 // of groups to units is a conformant schedule. Each worker owns a private
-// WorkGroupExecutor (its own fiber pool and local-memory arena — local
-// memory is per-compute-unit on real devices too) and pulls chunks of
-// consecutive group ids from an atomic cursor. Counters are collected in
+// WorkGroupExecutor (its own coroutine-frame and local-memory arenas —
+// local memory is per-compute-unit on real devices too) and pulls chunks
+// of consecutive group ids from an atomic cursor. Counters are collected in
 // per-worker RuntimeStats shards and merged on the enqueuing thread after
 // the range completes; since every counter is an unsigned sum, the merged
 // totals are bit-identical to a serial run of the same kernel.
 //
 // Error contract: if any work-group throws, the scheduler stops handing
-// out new chunks, lets every worker drain its in-flight group (the
-// executor's abort-unwinding leaves each private fiber pool reusable),
-// and rethrows the recorded error — preferring the lowest-numbered failing
-// group, which is the error a serial run would have surfaced first — on
-// the enqueuing thread.
+// out new chunks, lets every worker finish its in-flight group (the
+// executor destroys a failed group's frames, so each private executor
+// stays reusable), and rethrows the recorded error — preferring the
+// lowest-numbered failing group, which is the error a serial run would
+// have surfaced first — on the enqueuing thread.
 #pragma once
 
 #include <atomic>
@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "ocl/faults/fault_plan.h"
-#include "ocl/fiber.h"
 #include "ocl/kernel.h"
 #include "ocl/stats.h"
 #include "ocl/trace/tracer.h"
@@ -43,8 +42,7 @@ public:
   /// `compute_units` must be >= 1. Worker threads are started lazily on
   /// the first NDRange that can use more than one unit.
   ComputeUnitScheduler(std::size_t compute_units, std::size_t local_mem_bytes,
-                       std::size_t max_workgroup_size,
-                       std::size_t stack_bytes = Fiber::kDefaultStackBytes);
+                       std::size_t max_workgroup_size);
   ~ComputeUnitScheduler();
 
   ComputeUnitScheduler(const ComputeUnitScheduler&) = delete;
@@ -89,9 +87,8 @@ private:
   /// engine and counter shard.
   struct Unit {
     Unit(std::uint32_t index, std::size_t local_mem_bytes,
-         std::size_t max_workgroup_size, std::size_t stack_bytes)
-        : index(index),
-          executor(local_mem_bytes, max_workgroup_size, stack_bytes) {}
+         std::size_t max_workgroup_size)
+        : index(index), executor(local_mem_bytes, max_workgroup_size) {}
     const std::uint32_t index;  ///< compute-unit number (trace lane 1+index)
     WorkGroupExecutor executor;
     RuntimeStats shard;

@@ -4,11 +4,11 @@
 // programmer (local memory size, max work-group size, global memory size,
 // compute units) and owns the execution engine and traffic counters.
 // NDRanges are dispatched through a ComputeUnitScheduler: one persistent
-// worker thread per modelled compute unit, each with a private fiber pool
-// and local-memory arena, pulling independent work-groups from a shared
-// queue. Microarchitectural parameters used for timing/energy (ALU counts,
-// bandwidths, TDP) live in src/devices/ and src/perf/ — the functional
-// runtime does not need them.
+// worker thread per modelled compute unit, each with a private executor
+// (coroutine-frame and local-memory arenas), pulling independent
+// work-groups from a shared queue. Microarchitectural parameters used for
+// timing/energy (ALU counts, bandwidths, TDP) live in src/devices/ and
+// src/perf/ — the functional runtime does not need them.
 #pragma once
 
 #include <cstddef>

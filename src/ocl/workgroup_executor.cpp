@@ -2,25 +2,18 @@
 
 namespace binopt::ocl {
 
-void WorkItemCtx::barrier() {
-  BINOPT_REQUIRE(fiber_ != nullptr,
-                 "barrier() in a kernel declared with uses_barriers=false "
-                 "(or outside kernel execution)");
-  state_ = detail::ItemState::kAtBarrier;
-  ++group_->stats->barriers_executed;
-  fiber_->yield();
-  // If a sibling work-item threw while we were parked, unwind this
-  // work-item's stack too so the fiber (and its RAII state) finishes
-  // cleanly and the pool stays reusable.
-  if (group_->aborting) throw detail::KernelAborted{};
+void* WorkItemTask::promise_type::operator new(std::size_t bytes,
+                                               WorkItemCtx& ctx,
+                                               const KernelArgs& /*args*/) {
+  BINOPT_REQUIRE(ctx.group_ != nullptr,
+                 "kernel bodies run only inside a work-group executor");
+  return ctx.group_->frames.allocate(bytes);
 }
 
 WorkGroupExecutor::WorkGroupExecutor(std::size_t local_mem_bytes,
-                                     std::size_t max_workgroup_size,
-                                     std::size_t stack_bytes)
+                                     std::size_t max_workgroup_size)
     : local_mem_bytes_(local_mem_bytes),
-      max_workgroup_size_(max_workgroup_size),
-      pool_(stack_bytes) {
+      max_workgroup_size_(max_workgroup_size) {
   BINOPT_REQUIRE(max_workgroup_size_ >= 1, "device must allow work-groups");
 }
 
@@ -70,115 +63,82 @@ void WorkGroupExecutor::run_group(const Kernel& kernel, const KernelArgs& args,
                                   RuntimeStats& stats) {
   const std::size_t n = range.local_size;
 
-  detail::GroupState group;
+  detail::GroupState& group = group_;
   if (arena_.size() < local_mem_bytes_) arena_.resize(local_mem_bytes_);
+  group.kernel = &kernel;
   group.arena = arena_.data();
   group.arena_capacity = local_mem_bytes_;
+  group.arena_used = 0;
+  group.allocs.clear();
+  group.frames.reset(n);
   group.stats = &stats;
+  group.analysis = nullptr;
   if (analysis_ != nullptr) {
     analysis_->begin_group(kernel.name, group_id, local_mem_bytes_);
     group.analysis = analysis_.get();
   }
 
-  if (!kernel.uses_barriers) {
-    // Fast path: no synchronisation possible, so each work-item runs to
-    // completion as a plain call. barrier() raises (fiber_ is null).
-    WorkItemCtx ctx;
-    ctx.group_id_ = group_id;
-    ctx.local_size_ = n;
-    ctx.global_size_ = range.global_size;
-    ctx.group_ = &group;
-    for (std::size_t i = 0; i < n; ++i) {
-      ctx.local_id_ = i;
-      ctx.global_id_ = group_id * n + i;
-      ctx.alloc_cursor_ = 0;
-      ctx.state_ = detail::ItemState::kRunnable;
-      kernel.body(ctx, args);
-    }
-    ++stats.work_groups_executed;
-    stats.work_items_executed += n;
-    return;
-  }
+  // However the group ends, its frames are destroyed here: a parked
+  // item's locals are unwound exactly once and never resumed.
+  struct DestroyFrames {
+    std::vector<WorkItemTask>& tasks;
+    ~DestroyFrames() { tasks.clear(); }
+  } destroy_frames{tasks_};
 
-  std::vector<WorkItemCtx> items(n);
-  std::vector<Fiber*> fibers = pool_.acquire(n);
-
+  if (items_.size() < n) items_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    WorkItemCtx& ctx = items[i];
+    WorkItemCtx& ctx = items_[i];
     ctx.local_id_ = i;
     ctx.group_id_ = group_id;
     ctx.global_id_ = group_id * n + i;
     ctx.local_size_ = n;
     ctx.global_size_ = range.global_size;
+    ctx.alloc_cursor_ = 0;
     ctx.group_ = &group;
-    ctx.fiber_ = fibers[i];
-    ctx.state_ = detail::ItemState::kRunnable;
-    fibers[i]->start([&kernel, &args, &ctx] { kernel.body(ctx, args); });
+    tasks_.push_back(kernel.body(ctx, args));
   }
 
-  // On any work-item exception: mark the group aborting, drain every
-  // parked fiber (each unwinds via KernelAborted at its barrier), then
-  // rethrow the original error. This keeps the fiber pool reusable.
-  auto drain_group = [&](std::vector<WorkItemCtx>& ctxs,
-                         std::vector<Fiber*>& fbs) {
-    group.aborting = true;
-    for (std::size_t i = 0; i < ctxs.size(); ++i) {
-      if (ctxs[i].state_ == detail::ItemState::kDone) continue;
-      try {
-        while (fbs[i]->resume()) {
-        }
-      } catch (...) {
-        // Secondary failures (including KernelAborted) are expected here.
-      }
-      ctxs[i].state_ = detail::ItemState::kDone;
-    }
-  };
-
-  // Round-robin between barriers: each pass resumes every live work-item
-  // until it either finishes or parks at the next barrier.
+  // One pass per barrier phase: resume every live work-item in local-id
+  // order until it either finishes or parks at the next barrier.
   std::size_t alive = n;
-  try {
-    while (alive > 0) {
-      std::size_t at_barrier = 0;
-      std::size_t finished_this_pass = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        WorkItemCtx& ctx = items[i];
-        if (ctx.state_ == detail::ItemState::kDone) continue;
-        ctx.state_ = detail::ItemState::kRunnable;
-        const bool still_alive = fibers[i]->resume();
-        if (!still_alive) {
-          ctx.state_ = detail::ItemState::kDone;
-          --alive;
-          ++finished_this_pass;
-        } else {
-          BINOPT_ENSURE(ctx.state_ == detail::ItemState::kAtBarrier,
-                        "work-item yielded without reaching a barrier");
-          ++at_barrier;
-        }
+  while (alive > 0) {
+    std::size_t at_barrier = 0;
+    std::size_t finished_this_pass = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const WorkItemTask& task = tasks_[i];
+      if (task.done()) continue;
+      WorkItemCtx& ctx = items_[i];
+      ctx.at_barrier_ = false;
+      if (task.resume()) {
+        BINOPT_ENSURE(ctx.at_barrier_,
+                      "work-item suspended without reaching a barrier");
+        ++at_barrier;
+      } else {
+        BINOPT_REQUIRE(!ctx.at_barrier_, "kernel '", kernel.name,
+                       "': work-item ", i,
+                       " finished with its barrier() never co_awaited");
+        --alive;
+        ++finished_this_pass;
       }
-      // Every live work-item is now parked at a barrier. OpenCL requires
-      // the *whole* group at each barrier: if any work-item returned
-      // during a pass in which others parked, the group has divergent
-      // barrier counts (undefined behaviour on real hardware). Under the
-      // analyzer this becomes a diagnostic and the group is drained so the
-      // rest of the range can still be checked; otherwise we fail loudly.
-      if (at_barrier != 0 && finished_this_pass != 0 &&
-          analysis_ != nullptr) {
-        analysis_->record_barrier_divergence(at_barrier, finished_this_pass);
-        drain_group(items, fibers);
-        return;
-      }
-      BINOPT_REQUIRE(at_barrier == 0 || finished_this_pass == 0,
-                     "barrier divergence in kernel '", kernel.name, "': ",
-                     at_barrier, " work-items at a barrier while ",
-                     finished_this_pass, " returned in the same pass");
-      // The whole group has crossed this barrier: accesses after it are
-      // ordered against everything before it.
-      if (at_barrier > 0 && analysis_ != nullptr) analysis_->advance_epoch();
     }
-  } catch (...) {
-    drain_group(items, fibers);
-    throw;
+    // Every live work-item is now parked at a barrier. OpenCL requires
+    // the *whole* group at each barrier: if any work-item returned
+    // during a pass in which others parked, the group has divergent
+    // barrier counts (undefined behaviour on real hardware). Under the
+    // analyzer this becomes a diagnostic and the group's frames are
+    // destroyed so the rest of the range can still be checked; otherwise
+    // we fail loudly.
+    if (at_barrier != 0 && finished_this_pass != 0 && analysis_ != nullptr) {
+      analysis_->record_barrier_divergence(at_barrier, finished_this_pass);
+      return;
+    }
+    BINOPT_REQUIRE(at_barrier == 0 || finished_this_pass == 0,
+                   "barrier divergence in kernel '", kernel.name, "': ",
+                   at_barrier, " work-items at a barrier while ",
+                   finished_this_pass, " returned in the same pass");
+    // The whole group has crossed this barrier: accesses after it are
+    // ordered against everything before it.
+    if (at_barrier > 0 && analysis_ != nullptr) analysis_->advance_epoch();
   }
 
   ++stats.work_groups_executed;

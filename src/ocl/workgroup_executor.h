@@ -1,20 +1,23 @@
 // NDRange execution engine: work-groups, work-items, barriers, local memory.
 //
-// One executor drives work-groups sequentially on the calling thread;
-// inside a group every work-item runs on a fiber and the executor
-// schedules them round-robin between barriers. This gives the paper's
-// kernel IV.B its real OpenCL semantics: all work-items of a group observe
-// local memory writes that precede a barrier.
+// One executor drives work-groups sequentially on the calling thread.
+// Inside a group every work-item is a coroutine frame (see kernel.h), and
+// the executor resumes the live items in local-id order once per barrier
+// phase. This gives the paper's kernel IV.B its real OpenCL semantics: all
+// work-items of a group observe local memory writes that precede a barrier.
+// Frames and local memory come from executor-owned arenas that are reused
+// across groups, so steady-state execution allocates nothing.
 //
 // Device-level parallelism (independent work-groups on parallel compute
 // units) is layered on top by ComputeUnitScheduler: each worker thread
-// owns a *private* executor — private fiber pool, private local-memory
+// owns a *private* executor — private frame arena, private local-memory
 // arena — and pulls disjoint group ranges through execute_group(). An
 // executor instance itself is strictly single-threaded.
 //
 // Barrier contract enforced (and its violation *detected*, where real
 // OpenCL would be silently undefined): if any work-item of a group reaches
 // a barrier, every work-item must reach it before finishing the kernel.
+// A `ctx.barrier()` whose result is not co_awaited is detected too.
 //
 // With the hazard analyzer enabled (enable_analysis), the executor also
 // maintains barrier-epoch bookkeeping: every time the whole group crosses
@@ -23,7 +26,8 @@
 // to the same local byte by different work-items in the same epoch have no
 // barrier between them — OpenCL's intra-group race — and are reported with
 // work-item coordinates and both access sites. Barrier divergence is then
-// reported as a diagnostic (and the group drained) instead of thrown.
+// reported as a diagnostic (and the group's frames destroyed) instead of
+// thrown.
 #pragma once
 
 #include <cstddef>
@@ -33,7 +37,6 @@
 #include "common/error.h"
 #include "ocl/analyzer/shadow.h"
 #include "ocl/buffer.h"
-#include "ocl/fiber.h"
 #include "ocl/kernel.h"
 #include "ocl/stats.h"
 #include "ocl/types.h"
@@ -50,25 +53,50 @@ struct LocalAlloc {
   std::size_t bytes = 0;
 };
 
-/// Thrown inside parked work-items to unwind their stacks when the group
-/// aborts (another work-item raised). Never escapes the executor.
-struct KernelAborted {};
+/// Bump arena for one group's coroutine frames. Every item of a group
+/// runs the same body, so the first frame fixes the slot size and the
+/// arena grows (only then) to local size x slot. Reset per group.
+class FrameArena {
+public:
+  void reset(std::size_t items) {
+    items_ = items;
+    used_ = 0;
+  }
 
-/// Per-group shared state (local arena + allocation log + barrier phase).
-/// The arena storage itself is owned by the executor and reused across
-/// groups (real local memory is likewise uninitialised between groups).
+  void* allocate(std::size_t bytes) {
+    constexpr std::size_t kAlign = __STDCPP_DEFAULT_NEW_ALIGNMENT__;
+    const std::size_t slot = (bytes + kAlign - 1) / kAlign * kAlign;
+    if (used_ == 0 && slot * items_ > capacity_) {
+      capacity_ = slot * items_;
+      storage_.reset(new std::byte[capacity_]);
+    }
+    BINOPT_REQUIRE(used_ + slot <= capacity_,
+                   "work-items of one group must run one kernel body");
+    void* frame = storage_.get() + used_;
+    used_ += slot;
+    return frame;
+  }
+
+private:
+  std::unique_ptr<std::byte[]> storage_;
+  std::size_t capacity_ = 0;
+  std::size_t used_ = 0;
+  std::size_t items_ = 0;
+};
+
+/// Per-group shared state (local arena + allocation log + frame arena).
+/// All storage is owned by the executor and reused across groups (real
+/// local memory is likewise uninitialised between groups).
 struct GroupState {
+  const Kernel* kernel = nullptr;
   std::byte* arena = nullptr;
   std::size_t arena_capacity = 0;
   std::size_t arena_used = 0;
   std::vector<LocalAlloc> allocs;
+  FrameArena frames;
   RuntimeStats* stats = nullptr;
   analyzer::GroupAnalysis* analysis = nullptr;  ///< null = analyzer off
-  bool aborting = false;  ///< set when a sibling work-item threw
 };
-
-/// Per-work-item scheduling state.
-enum class ItemState { kRunnable, kAtBarrier, kDone };
 
 }  // namespace detail
 
@@ -143,9 +171,20 @@ public:
     return global_size_ / local_size_;
   }
 
-  /// OpenCL barrier(CLK_LOCAL_MEM_FENCE): suspends this work-item until
-  /// every work-item of the group has reached the same barrier.
-  void barrier();
+  /// OpenCL barrier(CLK_LOCAL_MEM_FENCE). `co_await ctx.barrier()`
+  /// suspends this work-item until every work-item of the group has
+  /// reached the same barrier. The call counts the crossing and marks the
+  /// item as arrived; the executor rejects an item that finishes, or calls
+  /// barrier() again, while still marked (a result never co_awaited).
+  [[nodiscard]] BarrierArrival barrier() {
+    BINOPT_REQUIRE(!at_barrier_, "kernel '", group_->kernel->name,
+                   "': work-item ", local_id_,
+                   " called barrier() again without co_await-ing the last "
+                   "one");
+    at_barrier_ = true;
+    ++group_->stats->barriers_executed;
+    return {};
+  }
 
   /// Global-memory accessor for a bound buffer.
   template <typename T>
@@ -185,6 +224,7 @@ public:
 
 private:
   friend class WorkGroupExecutor;
+  friend struct WorkItemTask::promise_type;
 
   std::size_t global_id_ = 0;
   std::size_t local_id_ = 0;
@@ -193,15 +233,14 @@ private:
   std::size_t global_size_ = 0;
   std::size_t alloc_cursor_ = 0;
   detail::GroupState* group_ = nullptr;
-  Fiber* fiber_ = nullptr;
-  detail::ItemState state_ = detail::ItemState::kRunnable;
+  bool at_barrier_ = false;  ///< barrier() called, not yet resumed past
 };
 
-/// Drives a full NDRange over the fiber pool.
+/// Drives a full NDRange, one work-group at a time.
 class WorkGroupExecutor {
 public:
-  WorkGroupExecutor(std::size_t local_mem_bytes, std::size_t max_workgroup_size,
-                    std::size_t stack_bytes = Fiber::kDefaultStackBytes);
+  WorkGroupExecutor(std::size_t local_mem_bytes,
+                    std::size_t max_workgroup_size);
 
   /// Executes every work-group of `range` with the given kernel and args.
   /// Updates `stats` with work-item counts, barrier counts, and memory
@@ -243,8 +282,11 @@ private:
 
   std::size_t local_mem_bytes_;
   std::size_t max_workgroup_size_;
-  FiberPool pool_;
-  std::vector<std::byte> arena_;  ///< local-memory storage, reused per group
+  // Reused per group, so group execution allocates nothing once warm.
+  std::vector<std::byte> arena_;  ///< local-memory storage
+  detail::GroupState group_;
+  std::vector<WorkItemCtx> items_;
+  std::vector<WorkItemTask> tasks_;  ///< owns the group's frames
   std::unique_ptr<analyzer::GroupAnalysis> analysis_;  ///< null = off
 };
 

@@ -8,8 +8,10 @@
 // future-returning front-ends allocate per call. The pins run under both
 // routing off and the latency router: every policy shares the one queue
 // and the one collection path, so placement must not cost a heap
-// allocation either. It is a separate test
-// binary so the hooks cannot perturb the other suites or the
+// allocation either. The OpenCL simulator's work-group executor is pinned
+// the same way: once warm, running groups of coroutine work-items (frames,
+// local memory, per-item state) must not touch the heap. It is a separate
+// test binary so the hooks cannot perturb the other suites or the
 // ThreadSanitizer job.
 #include <gtest/gtest.h>
 
@@ -17,12 +19,15 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/accelerator.h"
 #include "core/service/pricing_service.h"
 #include "finance/workload.h"
+#include "kernels/kernel_b.h"
+#include "ocl/workgroup_executor.h"
 
 namespace {
 // Counts every path into the heap. Relaxed is fine: the test reads the
@@ -285,6 +290,70 @@ TEST(AllocHotPath, StatsStillTrackZeroAllocTraffic) {
   EXPECT_EQ(stats.request_latency_ns.count(), specs.size());
   EXPECT_EQ(stats.queue_wait_ns.count(), specs.size());
   EXPECT_GE(stats.batches_launched, 1u);
+}
+
+/// Runs `kernel` over `groups` work-groups of `local` items once to warm
+/// the executor up, then again with the heap counted.
+std::uint64_t executor_allocations(const ocl::Kernel& kernel,
+                                   const ocl::KernelArgs& args,
+                                   std::size_t groups, std::size_t local,
+                                   ocl::RuntimeStats& stats) {
+  ocl::WorkGroupExecutor executor(/*local_mem_bytes=*/16 * 1024,
+                                  /*max_workgroup_size=*/256);
+  const ocl::NDRange range{groups * local, local};
+  executor.execute(kernel, args, range, stats);
+  const std::uint64_t before =
+      g_heap_allocations.load(std::memory_order_relaxed);
+  for (int round = 0; round < 3; ++round) {
+    executor.execute(kernel, args, range, stats);
+  }
+  return g_heap_allocations.load(std::memory_order_relaxed) - before;
+}
+
+TEST(AllocHotPath, BarrierKernelGroupsMakeZeroHeapAllocations) {
+  // Kernel IV.B itself: one option per group of 64 items, 129 barriers.
+  constexpr std::size_t kOptions = 8;
+  const ocl::Kernel kernel = kernels::make_kernel_b(
+      kSteps, kernels::MathMode::kFpgaApproxPow, /*host_leaves=*/false);
+  std::vector<double> params;
+  for (std::size_t i = 0; i < kOptions; ++i) {
+    // s0, u, rp, rq, strike, call, 1/u, american
+    params.insert(params.end(), {100.0, 1.01, 0.5, 0.49,
+                                 95.0 + static_cast<double>(i),
+                                 1.0, 1.0 / 1.01, 0.0});
+  }
+  ocl::Buffer param_buf(params.size() * sizeof(double),
+                        ocl::MemFlags::kReadOnly, "params");
+  ocl::Buffer result_buf(kOptions * sizeof(double), ocl::MemFlags::kWriteOnly,
+                         "results");
+  param_buf.write(0, std::as_bytes(std::span<const double>(params)));
+  ocl::KernelArgs args;
+  args.set(0, &param_buf);
+  args.set(1, &result_buf);
+  ocl::RuntimeStats stats;
+  EXPECT_EQ(executor_allocations(kernel, args, kOptions, kSteps, stats), 0u);
+  EXPECT_EQ(stats.barriers_executed,
+            4 * kOptions * kSteps * (2 * kSteps + 1));
+}
+
+TEST(AllocHotPath, BarrierFreeKernelGroupsMakeZeroHeapAllocations) {
+  constexpr std::size_t kGroups = 16;
+  constexpr std::size_t kLocal = 32;
+  ocl::Buffer out(kGroups * kLocal * sizeof(double), ocl::MemFlags::kReadWrite,
+                  "out");
+  ocl::Kernel kernel;
+  kernel.name = "barrier_free";
+  kernel.body = [](ocl::WorkItemCtx& ctx,
+                   const ocl::KernelArgs& args) -> ocl::WorkItemTask {
+    auto view = ctx.global<double>(args.buffer(0));
+    view.set(ctx.global_id(), static_cast<double>(ctx.local_id()));
+    co_return;
+  };
+  ocl::KernelArgs args;
+  args.set(0, &out);
+  ocl::RuntimeStats stats;
+  EXPECT_EQ(executor_allocations(kernel, args, kGroups, kLocal, stats), 0u);
+  EXPECT_EQ(stats.work_items_executed, 4 * kGroups * kLocal);
 }
 
 }  // namespace

@@ -68,18 +68,19 @@ const Hazard* find_hazard(const std::vector<Hazard>& hazards, HazardKind kind) {
 Kernel make_missing_barrier_kernel(std::size_t steps) {
   Kernel kernel;
   kernel.name = "seeded_missing_barrier";
-  kernel.body = [steps](WorkItemCtx& ctx, const KernelArgs& args) {
+  kernel.body = [steps](WorkItemCtx& ctx,
+                        const KernelArgs& args) -> WorkItemTask {
     auto results = ctx.global<double>(args.buffer(0));
     const std::size_t n = steps;
     const std::size_t k = ctx.local_id();
     auto values = ctx.local_array<double>(n + 1);
     values.set(k, static_cast<double>(k));
     if (k == n - 1) values.set(n, static_cast<double>(n));
-    ctx.barrier();
+    co_await ctx.barrier();
     for (std::size_t t = n; t-- > 0;) {
       double v = 0.0;
       if (k <= t) v = 0.5 * (values.get(k) + values.get(k + 1));
-      ctx.barrier();
+      co_await ctx.barrier();
       if (k <= t) values.set(k, v);
       // BUG: no second barrier — the next iteration's loads race with
       // this store. (The correct kernel has ctx.barrier() here.)
@@ -137,20 +138,20 @@ TEST(AnalyzerSeededBugs, CorrectTwoBarrierLoopIsClean) {
   constexpr std::size_t kSteps = 8;
   Kernel kernel;
   kernel.name = "two_barrier_loop";
-  kernel.body = [](WorkItemCtx& ctx, const KernelArgs& args) {
+  kernel.body = [](WorkItemCtx& ctx, const KernelArgs& args) -> WorkItemTask {
     auto results = ctx.global<double>(args.buffer(0));
     const std::size_t n = ctx.local_size();
     const std::size_t k = ctx.local_id();
     auto values = ctx.local_array<double>(n + 1);
     values.set(k, static_cast<double>(k));
     if (k == n - 1) values.set(n, static_cast<double>(n));
-    ctx.barrier();
+    co_await ctx.barrier();
     for (std::size_t t = n; t-- > 0;) {
       double v = 0.0;
       if (k <= t) v = 0.5 * (values.get(k) + values.get(k + 1));
-      ctx.barrier();
+      co_await ctx.barrier();
       if (k <= t) values.set(k, v);
-      ctx.barrier();  // the barrier the seeded kernel dropped
+      co_await ctx.barrier();  // the barrier the seeded kernel dropped
     }
     if (k == 0) results.set(ctx.group_id(), values.get(0));
   };
@@ -184,7 +185,7 @@ TEST(AnalyzerSeededBugs, GlobalOutOfBoundsReadAtLastLevelIsFlagged) {
 
   Kernel kernel;
   kernel.name = "seeded_oob_last_level";
-  kernel.body = [](WorkItemCtx& ctx, const KernelArgs& args) {
+  kernel.body = [](WorkItemCtx& ctx, const KernelArgs& args) -> WorkItemTask {
     auto tree = ctx.global<double>(args.buffer(0));
     auto out = ctx.global<double>(args.buffer(1));
     const std::size_t id = ctx.global_id();
@@ -192,6 +193,7 @@ TEST(AnalyzerSeededBugs, GlobalOutOfBoundsReadAtLastLevelIsFlagged) {
     // the end. The analyzer suppresses the access (yielding 0.0) instead
     // of aborting the kernel.
     out.set(id, tree.get(id) + tree.get(id + 1));
+    co_return;
   };
   KernelArgs args;
   args.set(0, &tree);
@@ -234,15 +236,15 @@ TEST(AnalyzerSeededBugs, UninitializedLocalReadIsFlagged) {
 
   Kernel kernel;
   kernel.name = "seeded_uninit_local";
-  kernel.body = [](WorkItemCtx& ctx, const KernelArgs& args) {
+  kernel.body = [](WorkItemCtx& ctx, const KernelArgs& args) -> WorkItemTask {
     auto out = ctx.global<double>(args.buffer(0));
     const std::size_t k = ctx.local_id();
     auto values = ctx.local_array<double>(ctx.local_size());
     // BUG: values[k] is read before the (forgotten) initialisation.
     const double v = values.get(k);
-    ctx.barrier();
+    co_await ctx.barrier();
     values.set(k, v + 1.0);
-    ctx.barrier();
+    co_await ctx.barrier();
     out.set(ctx.global_id(), values.get(k));
   };
   KernelArgs args;
@@ -271,9 +273,9 @@ TEST(AnalyzerSeededBugs, UninitializedLocalReadIsFlagged) {
 Kernel make_divergent_barrier_kernel() {
   Kernel kernel;
   kernel.name = "seeded_divergent_barrier";
-  kernel.body = [](WorkItemCtx& ctx, const KernelArgs&) {
+  kernel.body = [](WorkItemCtx& ctx, const KernelArgs&) -> WorkItemTask {
     // BUG: only the lower half of the group reaches the barrier.
-    if (ctx.local_id() < ctx.local_size() / 2) ctx.barrier();
+    if (ctx.local_id() < ctx.local_size() / 2) co_await ctx.barrier();
   };
   return kernel;
 }

@@ -70,10 +70,11 @@ TEST_F(DeferredQueueTest, KernelRunsAtFinishWithCapturedArgs) {
       context_.create_buffer_of<double>(8, MemFlags::kReadWrite, "b");
   Kernel kernel;
   kernel.name = "fill";
-  kernel.uses_barriers = false;
-  kernel.body = [&buffer](WorkItemCtx& ctx, const KernelArgs& args) {
+  kernel.body = [&buffer](WorkItemCtx& ctx,
+                          const KernelArgs& args) -> WorkItemTask {
     auto view = ctx.global<double>(args.buffer(0));
     view.set(ctx.global_id(), args.f64(1));
+    co_return;
   };
   KernelArgs args;
   args.set(0, &buffer);
@@ -118,9 +119,9 @@ TEST_F(DeferredQueueTest, ThrowingCommandDrainsQueueAndMarksPrefix) {
 
   Kernel bad;
   bad.name = "thrower";
-  bad.uses_barriers = false;
-  bad.body = [](WorkItemCtx&, const KernelArgs&) {
+  bad.body = [](WorkItemCtx&, const KernelArgs&) -> WorkItemTask {
     throw InvariantError("deferred boom");
+    co_return;
   };
 
   queue_.write<double>(buffer, first);                   // event 0: succeeds
@@ -147,9 +148,9 @@ TEST_F(DeferredQueueTest, NoDoubleExecutionOnNextFinish) {
 
   Kernel bad;
   bad.name = "thrower";
-  bad.uses_barriers = false;
-  bad.body = [](WorkItemCtx&, const KernelArgs&) {
+  bad.body = [](WorkItemCtx&, const KernelArgs&) -> WorkItemTask {
     throw InvariantError("deferred boom");
+    co_return;
   };
 
   queue_.write<double>(buffer, data);
@@ -174,9 +175,9 @@ TEST_F(DeferredQueueTest, QueueReusableAfterFailedFinish) {
 
   Kernel bad;
   bad.name = "thrower";
-  bad.uses_barriers = false;
-  bad.body = [](WorkItemCtx&, const KernelArgs&) {
+  bad.body = [](WorkItemCtx&, const KernelArgs&) -> WorkItemTask {
     throw InvariantError("deferred boom");
+    co_return;
   };
   queue_.enqueue_ndrange(bad, KernelArgs{}, NDRange{2, 2});
   EXPECT_THROW(queue_.finish(), InvariantError);

@@ -31,10 +31,11 @@ Device make_device(std::size_t compute_units = 1) {
 Kernel make_scale_kernel(double scale = 3.0) {
   Kernel kernel;
   kernel.name = "scale";
-  kernel.uses_barriers = false;
-  kernel.body = [scale](WorkItemCtx& ctx, const KernelArgs& args) {
+  kernel.body = [scale](WorkItemCtx& ctx,
+                        const KernelArgs& args) -> WorkItemTask {
     auto out = ctx.global<double>(args.buffer(0));
     out.set(ctx.global_id(), static_cast<double>(ctx.global_id()) * scale);
+    co_return;
   };
   return kernel;
 }

@@ -145,10 +145,10 @@ TEST(ParallelExecutor, SyntheticBarrierKernelParityAcrossUnitCounts) {
   // Same NDRange on 1, 2, 3, 8 compute units: identical totals each time.
   Kernel kernel;
   kernel.name = "parity";
-  kernel.body = [](WorkItemCtx& ctx, const KernelArgs&) {
+  kernel.body = [](WorkItemCtx& ctx, const KernelArgs&) -> WorkItemTask {
     auto row = ctx.local_array<double>(ctx.local_size());
     row.set(ctx.local_id(), static_cast<double>(ctx.global_id()));
-    ctx.barrier();
+    co_await ctx.barrier();
     (void)row.get((ctx.local_id() + 1) % ctx.local_size());
   };
   KernelArgs args;
@@ -176,8 +176,9 @@ TEST(ParallelExecutor, BarrierDivergenceDetectedAndPoolStaysReusable) {
   Device device = make_device(4);
   Kernel divergent;
   divergent.name = "divergent";
-  divergent.body = [](WorkItemCtx& ctx, const KernelArgs&) {
-    if (ctx.local_id() == 0) ctx.barrier();  // only one item synchronises
+  divergent.body = [](WorkItemCtx& ctx, const KernelArgs&) -> WorkItemTask {
+    // Only one item synchronises.
+    if (ctx.local_id() == 0) co_await ctx.barrier();
   };
   KernelArgs args;
   EXPECT_THROW(device.execute(divergent, args, NDRange{256, 4}),
@@ -186,7 +187,9 @@ TEST(ParallelExecutor, BarrierDivergenceDetectedAndPoolStaysReusable) {
   // Same device, same worker pool: a correct kernel must run cleanly.
   Kernel good;
   good.name = "fine";
-  good.body = [](WorkItemCtx& ctx, const KernelArgs&) { ctx.barrier(); };
+  good.body = [](WorkItemCtx& ctx, const KernelArgs&) -> WorkItemTask {
+    co_await ctx.barrier();
+  };
   device.reset_stats();
   EXPECT_NO_THROW(device.execute(good, args, NDRange{256, 4}));
   EXPECT_EQ(device.stats().work_groups_executed, 64u);
@@ -197,22 +200,25 @@ TEST(ParallelExecutor, MidKernelExceptionCancelsAndRethrowsOnEnqueuer) {
   Device device = make_device(4);
   Kernel bad;
   bad.name = "dies_mid_phase";
-  bad.body = [](WorkItemCtx& ctx, const KernelArgs&) {
-    ctx.barrier();
+  bad.body = [](WorkItemCtx& ctx, const KernelArgs&) -> WorkItemTask {
+    co_await ctx.barrier();
     if (ctx.group_id() == 5 && ctx.local_id() == 3) {
       throw PreconditionError("boom in group 5");
     }
-    ctx.barrier();
+    co_await ctx.barrier();
   };
   KernelArgs args;
   EXPECT_THROW(device.execute(bad, args, NDRange{8 * 64, 8}),
                PreconditionError);
 
-  // Remaining chunks were cancelled, every worker drained its fibers, and
-  // the pool is reusable for both fiber and fast-path kernels.
+  // Remaining chunks were cancelled, every worker destroyed its failed
+  // group's frames, and the pool is reusable for barrier and barrier-free
+  // kernels alike.
   Kernel good;
   good.name = "fine";
-  good.body = [](WorkItemCtx& ctx, const KernelArgs&) { ctx.barrier(); };
+  good.body = [](WorkItemCtx& ctx, const KernelArgs&) -> WorkItemTask {
+    co_await ctx.barrier();
+  };
   device.reset_stats();
   EXPECT_NO_THROW(device.execute(good, args, NDRange{8 * 64, 8}));
   EXPECT_EQ(device.stats().work_groups_executed, 64u);
@@ -221,10 +227,10 @@ TEST(ParallelExecutor, MidKernelExceptionCancelsAndRethrowsOnEnqueuer) {
 TEST(ParallelExecutor, ExceptionInBarrierFreeKernelAlsoRethrown) {
   Device device = make_device(4);
   Kernel bad;
-  bad.name = "fast_path_thrower";
-  bad.uses_barriers = false;
-  bad.body = [](WorkItemCtx& ctx, const KernelArgs&) {
-    if (ctx.group_id() == 17) throw InvariantError("fast-path boom");
+  bad.name = "barrier_free_thrower";
+  bad.body = [](WorkItemCtx& ctx, const KernelArgs&) -> WorkItemTask {
+    if (ctx.group_id() == 17) throw InvariantError("barrier-free boom");
+    co_return;
   };
   KernelArgs args;
   EXPECT_THROW(device.execute(bad, args, NDRange{64 * 4, 4}), InvariantError);
@@ -239,10 +245,10 @@ TEST(ParallelExecutorStress, ManyGroupsManyUnitsRaceFree) {
   std::vector<double> out(groups * local, -1.0);
   Kernel kernel;
   kernel.name = "stress";
-  kernel.body = [&out](WorkItemCtx& ctx, const KernelArgs&) {
+  kernel.body = [&out](WorkItemCtx& ctx, const KernelArgs&) -> WorkItemTask {
     auto row = ctx.local_array<double>(ctx.local_size());
     row.set(ctx.local_id(), static_cast<double>(ctx.local_id()));
-    ctx.barrier();
+    co_await ctx.barrier();
     const double neighbour = row.get((ctx.local_id() + 1) % ctx.local_size());
     // Distinct global slot per work-item: the only cross-thread writes are
     // to disjoint addresses, exactly like kernel IV.B's result buffer.
@@ -269,7 +275,9 @@ TEST(ParallelExecutorStress, RepeatedNDRangesReuseTheWorkerPool) {
   Device device = make_device(3, /*max_workgroup_size=*/8);
   Kernel kernel;
   kernel.name = "repeat";
-  kernel.body = [](WorkItemCtx& ctx, const KernelArgs&) { ctx.barrier(); };
+  kernel.body = [](WorkItemCtx& ctx, const KernelArgs&) -> WorkItemTask {
+    co_await ctx.barrier();
+  };
   KernelArgs args;
   for (int round = 0; round < 50; ++round) {
     device.execute(kernel, args, NDRange{40 * 8, 8});

@@ -54,7 +54,7 @@ TEST(Program, RegistersAndLooksUpKernels) {
   Program program("-DNUM_SIMD_WORK_ITEMS=2");
   Kernel k;
   k.name = "my_kernel";
-  k.body = [](WorkItemCtx&, const KernelArgs&) {};
+  k.body = [](WorkItemCtx&, const KernelArgs&) -> WorkItemTask { co_return; };
   program.add_kernel(std::move(k));
   EXPECT_TRUE(program.has_kernel("my_kernel"));
   EXPECT_FALSE(program.has_kernel("other"));
@@ -67,11 +67,13 @@ TEST(Program, RejectsDuplicatesAndAnonymousKernels) {
   Program program;
   Kernel k;
   k.name = "dup";
-  k.body = [](WorkItemCtx&, const KernelArgs&) {};
+  k.body = [](WorkItemCtx&, const KernelArgs&) -> WorkItemTask { co_return; };
   program.add_kernel(k);
   EXPECT_THROW(program.add_kernel(k), PreconditionError);
   Kernel anon;
-  anon.body = [](WorkItemCtx&, const KernelArgs&) {};
+  anon.body = [](WorkItemCtx&, const KernelArgs&) -> WorkItemTask {
+    co_return;
+  };
   EXPECT_THROW(program.add_kernel(anon), PreconditionError);
   EXPECT_THROW((void)program.kernel("missing"), PreconditionError);
 }

@@ -142,8 +142,9 @@ TEST(CommandQueue, EventsLogCommands) {
 
   Kernel kernel;
   kernel.name = "noop";
-  kernel.uses_barriers = false;
-  kernel.body = [](WorkItemCtx&, const KernelArgs&) {};
+  kernel.body = [](WorkItemCtx&, const KernelArgs&) -> WorkItemTask {
+    co_return;
+  };
   KernelArgs args;
   queue.enqueue_ndrange(kernel, args, NDRange{4, 2});
 

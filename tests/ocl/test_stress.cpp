@@ -1,6 +1,6 @@
 // Stress and scale tests for the execution engine: paper-scale work-group
 // widths (1024 work-items, the N = 1024 tree row), deep barrier loops,
-// fiber-pool reuse across thousands of groups, and exception hygiene when
+// frame-arena reuse across thousands of groups, and exception hygiene when
 // a work-item dies mid-barrier-phase.
 #include <gtest/gtest.h>
 
@@ -19,15 +19,15 @@ TEST(ExecutorStress, PaperScaleWorkGroupOf1024WithBarriers) {
   std::vector<double> result(1024, 0.0);
   Kernel kernel;
   kernel.name = "wide_group";
-  kernel.body = [&](WorkItemCtx& ctx, const KernelArgs&) {
+  kernel.body = [&](WorkItemCtx& ctx, const KernelArgs&) -> WorkItemTask {
     const std::size_t n = ctx.local_size();
     auto row = ctx.local_array<double>(n);
     double acc = static_cast<double>(ctx.local_id());
     for (int phase = 0; phase < 8; ++phase) {
       row.set(ctx.local_id(), acc);
-      ctx.barrier();
+      co_await ctx.barrier();
       acc = row.get((ctx.local_id() + 1) % n);
-      ctx.barrier();
+      co_await ctx.barrier();
     }
     result[ctx.local_id()] = acc;
   };
@@ -46,8 +46,8 @@ TEST(ExecutorStress, ThousandsOfGroupsReuseTheFiberPool) {
   std::size_t count = 0;
   Kernel kernel;
   kernel.name = "many_groups";
-  kernel.body = [&](WorkItemCtx& ctx, const KernelArgs&) {
-    ctx.barrier();  // force the fiber path
+  kernel.body = [&](WorkItemCtx& ctx, const KernelArgs&) -> WorkItemTask {
+    co_await ctx.barrier();  // every group parks its frames once
     if (ctx.local_id() == 0) ++count;
   };
   KernelArgs args;
@@ -61,8 +61,8 @@ TEST(ExecutorStress, DeepBarrierLoopSurvives) {
   RuntimeStats stats;
   Kernel kernel;
   kernel.name = "deep_loop";
-  kernel.body = [&](WorkItemCtx& ctx, const KernelArgs&) {
-    for (int i = 0; i < 2000; ++i) ctx.barrier();
+  kernel.body = [&](WorkItemCtx& ctx, const KernelArgs&) -> WorkItemTask {
+    for (int i = 0; i < 2000; ++i) co_await ctx.barrier();
   };
   KernelArgs args;
   executor.execute(kernel, args, NDRange{16, 16}, stats);
@@ -74,22 +74,22 @@ TEST(ExecutorStress, ExceptionMidPhaseLeavesTheSameExecutorReusable) {
   RuntimeStats stats;
   Kernel bad;
   bad.name = "dies_after_barrier";
-  bad.body = [](WorkItemCtx& ctx, const KernelArgs&) {
-    ctx.barrier();
+  bad.body = [](WorkItemCtx& ctx, const KernelArgs&) -> WorkItemTask {
+    co_await ctx.barrier();
     if (ctx.local_id() == 3) throw PreconditionError("boom");
-    ctx.barrier();
+    co_await ctx.barrier();
   };
   KernelArgs args;
   EXPECT_THROW(executor.execute(bad, args, NDRange{8, 8}, stats),
                PreconditionError);
 
-  // The abort-unwinding protocol must leave every fiber finished, so the
-  // SAME executor (and therefore the Device that owns it) keeps working.
+  // The failed group's frames are destroyed, not resumed, so the SAME
+  // executor (and therefore the Device that owns it) keeps working.
   Kernel good;
   good.name = "fine";
   std::size_t ran = 0;
-  good.body = [&](WorkItemCtx& ctx, const KernelArgs&) {
-    ctx.barrier();
+  good.body = [&](WorkItemCtx& ctx, const KernelArgs&) -> WorkItemTask {
+    co_await ctx.barrier();
     ++ran;
   };
   EXPECT_NO_THROW(executor.execute(good, args, NDRange{8, 8}, stats));
@@ -101,15 +101,17 @@ TEST(ExecutorStress, DivergenceErrorAlsoLeavesExecutorReusable) {
   RuntimeStats stats;
   Kernel divergent;
   divergent.name = "divergent";
-  divergent.body = [](WorkItemCtx& ctx, const KernelArgs&) {
-    if (ctx.local_id() == 0) ctx.barrier();
+  divergent.body = [](WorkItemCtx& ctx, const KernelArgs&) -> WorkItemTask {
+    if (ctx.local_id() == 0) co_await ctx.barrier();
   };
   KernelArgs args;
   EXPECT_THROW(executor.execute(divergent, args, NDRange{4, 4}, stats),
                PreconditionError);
   Kernel good;
   good.name = "fine";
-  good.body = [](WorkItemCtx& ctx, const KernelArgs&) { ctx.barrier(); };
+  good.body = [](WorkItemCtx& ctx, const KernelArgs&) -> WorkItemTask {
+    co_await ctx.barrier();
+  };
   EXPECT_NO_THROW(executor.execute(good, args, NDRange{4, 4}, stats));
 }
 
@@ -121,10 +123,10 @@ TEST(ExecutorStress, LocalArenaIsReusedAcrossGroupsWithoutBleed) {
   std::vector<double> sums(50, 0.0);
   Kernel kernel;
   kernel.name = "arena_reuse";
-  kernel.body = [&](WorkItemCtx& ctx, const KernelArgs&) {
+  kernel.body = [&](WorkItemCtx& ctx, const KernelArgs&) -> WorkItemTask {
     auto row = ctx.local_array<double>(4);
     row.set(ctx.local_id(), static_cast<double>(ctx.group_id() + 1));
-    ctx.barrier();
+    co_await ctx.barrier();
     if (ctx.local_id() == 0) {
       double sum = 0.0;
       for (std::size_t i = 0; i < 4; ++i) sum += row.get(i);
