@@ -1,0 +1,92 @@
+// Micro-benchmarks of the host lattice kernels (google-benchmark).
+//
+// BM_LatticeFronts is the Greeks-front layer number: one 256-option book
+// at 128 steps, its delta/gamma/theta fronts computed by one
+// BatchPricer::fronts_into pass (what GreeksService::greeks_batch_blocking
+// runs) against one scalar lattice_front_greeks per spec (the reference).
+// BM_BatchPriceInto prices the same book at each forced kernel width.
+// Both report time per lattice node and per option; widths the CPU lacks
+// are skipped.
+#include <benchmark/benchmark.h>
+
+#include <cstddef>
+#include <vector>
+
+#include "finance/binomial_batch.h"
+#include "finance/greeks.h"
+#include "finance/workload.h"
+
+namespace {
+
+using namespace binopt;
+
+constexpr std::size_t kBook = 256;
+constexpr std::size_t kSteps = 128;
+
+std::vector<finance::OptionSpec> mixed_book() {
+  std::vector<finance::OptionSpec> book =
+      finance::make_random_batch(kBook, /*seed=*/2026);
+  for (std::size_t i = 0; i < book.size(); ++i) {
+    if (i % 2 == 1) book[i].type = finance::OptionType::kPut;
+  }
+  return book;
+}
+
+void set_node_rate(benchmark::State& state) {
+  const double nodes = static_cast<double>(kBook) *
+                       static_cast<double>((kSteps + 1) * (kSteps + 2) / 2);
+  state.counters["per_node"] = benchmark::Counter(
+      nodes * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["per_option"] = benchmark::Counter(
+      static_cast<double>(kBook) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+/// Arg 0: batched fronts_into (automatic dispatch); arg 1: the scalar
+/// reference, one lattice_front_greeks per spec.
+void BM_LatticeFronts(benchmark::State& state) {
+  const std::vector<finance::OptionSpec> book = mixed_book();
+  std::vector<finance::LatticeFront> fronts(book.size());
+  finance::BatchPricer pricer(kSteps);
+  const bool batched = state.range(0) == 0;
+  for (auto _ : state) {
+    if (batched) {
+      pricer.fronts_into(book.data(), book.size(), fronts.data());
+    } else {
+      for (std::size_t i = 0; i < book.size(); ++i) {
+        fronts[i] = finance::lattice_front_greeks(book[i], kSteps);
+      }
+    }
+    benchmark::DoNotOptimize(fronts.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(batched ? "fronts_into" : "lattice_front_greeks");
+  set_node_rate(state);
+}
+BENCHMARK(BM_LatticeFronts)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+/// Arg: the forced set_simd_override lane count (0 = scalar).
+void BM_BatchPriceInto(benchmark::State& state) {
+  const int lanes = static_cast<int>(state.range(0));
+  if (static_cast<std::size_t>(lanes) > finance::BatchPricer::cpu_simd_width()) {
+    state.SkipWithError("the CPU lacks this kernel width");
+    return;
+  }
+  finance::BatchPricer::set_simd_override(lanes);
+  const std::vector<finance::OptionSpec> book = mixed_book();
+  std::vector<double> prices(book.size());
+  finance::BatchPricer pricer(kSteps);
+  for (auto _ : state) {
+    pricer.price_into(book.data(), book.size(), prices.data());
+    benchmark::DoNotOptimize(prices.data());
+    benchmark::ClobberMemory();
+  }
+  finance::BatchPricer::set_simd_override(-1);
+  set_node_rate(state);
+}
+BENCHMARK(BM_BatchPriceInto)->Arg(0)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
+
+}  // namespace
+
+BENCHMARK_MAIN();

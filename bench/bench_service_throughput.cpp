@@ -1063,22 +1063,21 @@ int main(int argc, char** argv) {
                 "%.3f ms, p99 %.3f ms, p999 %.3f ms\n",
                 run.spike_ops, latency.p50() / 1e6, latency.p99() / 1e6,
                 latency.p999() / 1e6);
-    std::printf("spike vs direct run    : %10.2fx (simd %s)\n\n", vs_direct,
-                finance::BatchPricer::simd_enabled() ? "on" : "off");
+    const std::size_t simd_lanes = finance::BatchPricer::simd_width();
+    std::printf("spike vs direct run    : %10.2fx (simd %zu lanes)\n\n",
+                vs_direct, simd_lanes);
 
     const std::string row = format_row(
         "{\"benchmark\":\"service_throughput\",\"mode\":\"bursty\","
         "\"target\":\"%s\",\"options\":%zu,\"steps\":%zu,\"workers\":%zu,"
-        "\"submitters\":%zu,\"reps\":%d,\"simd\":%s,"
+        "\"submitters\":%zu,\"reps\":%d,\"simd\":%zu,"
         "\"options_per_second\":%.1f,\"speedup_vs_baseline\":%.3f,"
         "\"direct_options_per_second\":%.1f,"
         "\"latency_p50_ms\":%.4f,\"latency_p99_ms\":%.4f,"
         "\"latency_p999_ms\":%.4f}",
         core::to_string(target).c_str(), num_options, steps, workers,
-        submitters, reps,
-        finance::BatchPricer::simd_enabled() ? "true" : "false",
-        run.spike_ops, vs_direct, direct_ops, latency.p50() / 1e6,
-        latency.p99() / 1e6, latency.p999() / 1e6);
+        submitters, reps, simd_lanes, run.spike_ops, vs_direct, direct_ops,
+        latency.p50() / 1e6, latency.p99() / 1e6, latency.p999() / 1e6);
     emit_json(row, json_out);
 
     if (run.mismatches != 0) {

@@ -86,7 +86,7 @@ public:
     /// nullopt inherits the env plan (if any); an engaged empty plan
     /// explicitly disarms injection. CPU reference targets never touch a
     /// simulated device, so plans cannot affect them.
-    std::optional<ocl::faults::FaultPlan> fault_plan;
+    std::optional<ocl::faults::FaultPlan> fault_plan = std::nullopt;
   };
 
   explicit PricingAccelerator(Config config);

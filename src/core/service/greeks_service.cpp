@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/error.h"
+#include "finance/binomial_batch.h"
 
 namespace binopt::core {
 
@@ -89,8 +90,11 @@ GreeksService::Pending GreeksService::submit_greeks(
 GreeksQuote GreeksService::Pending::get() {
   // Host-side interior-node work first: it overlaps whatever the device
   // still owes on the four legs.
-  const finance::LatticeFront front =
-      finance::lattice_front_greeks(spec_, steps_);
+  return assemble(finance::lattice_front_greeks(spec_, steps_));
+}
+
+GreeksQuote GreeksService::Pending::assemble(
+    const finance::LatticeFront& front) {
   GreeksQuote out;
   out.vega_up = vega_up_.get();
   out.vega_down = vega_down_.get();
@@ -117,9 +121,16 @@ std::vector<GreeksQuote> GreeksService::greeks_batch_blocking(
   for (const finance::OptionSpec& spec : specs) {
     pending.push_back(submit_greeks(spec));
   }
+  // The whole book's fronts in one vectorised pass while the workers price
+  // the legs. The pricer is local, so concurrent callers share nothing.
+  std::vector<finance::LatticeFront> fronts(specs.size());
+  finance::BatchPricer pricer(service_.config().steps);
+  pricer.fronts_into(specs.data(), specs.size(), fronts.data());
   std::vector<GreeksQuote> out;
   out.reserve(specs.size());
-  for (Pending& p : pending) out.push_back(p.get());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    out.push_back(pending[i].assemble(fronts[i]));
+  }
   return out;
 }
 

@@ -3,8 +3,10 @@
 //
 // One Greeks request expands into the structured bump set of
 // finance::GreeksBumpSet: delta/gamma/theta come from the interior lattice
-// nodes (finance::lattice_front_greeks, computed host-side while the
-// device prices), vega/rho from four re-pricing legs fanned through the
+// nodes (computed host-side while the device prices: one
+// finance::lattice_front_greeks per single request, one vectorised
+// BatchPricer::fronts_into pass per batch, bit-identical to each other),
+// vega/rho from four re-pricing legs fanned through the
 // service's batcher/router/lock-free spine like any other quotes. The
 // assembled Greeks are bit-identical to direct binomial_greeks on the
 // CPU-reference target because every moving part is shared: the same
@@ -169,6 +171,9 @@ public:
 
   private:
     friend class GreeksService;
+    /// Waits for the four legs and assembles them with `front`.
+    [[nodiscard]] GreeksQuote assemble(const finance::LatticeFront& front);
+
     finance::OptionSpec spec_;
     std::size_t steps_ = 0;
     finance::GreeksBumpSet set_;
@@ -185,8 +190,10 @@ public:
   [[nodiscard]] GreeksQuote greeks_blocking(const finance::OptionSpec& spec);
 
   /// Fans every request's legs into the service FIRST (one many-kernel
-  /// job for the batcher/router), then computes the lattice fronts while
-  /// the devices work, then assembles in input order.
+  /// job for the batcher/router), then computes the whole book's lattice
+  /// fronts with one finance::BatchPricer::fronts_into pass while the
+  /// devices work, then assembles in input order. Safe to call from many
+  /// threads: the pricer and its scratch are local to the call.
   [[nodiscard]] std::vector<GreeksQuote> greeks_batch_blocking(
       const std::vector<finance::OptionSpec>& specs);
 

@@ -1,83 +1,67 @@
 #include "finance/binomial_batch.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <string>
+#include <string_view>
 
 #include "common/error.h"
+#include "finance/lattice_sweep.h"
 
 namespace binopt::finance {
 
 namespace {
 
-/// -1 automatic, 0 forced scalar, 1 forced vector.
+/// -1 automatic, else the forced width (1 scalar, 4 or 8 lanes).
 std::atomic<int> g_simd_override{-1};
 
-bool env_disables_simd() {
+/// The scalar lane ops: one option per "vector", a bool per mask.
+struct ScalarOps {
+  static constexpr std::size_t kLanes = 1;
+  using V = double;
+  using Mask = bool;
+
+  static V load(const double* p) { return *p; }
+  static void store(double* p, V v) { *p = v; }
+  static Mask mask(const std::uint64_t* bits) { return *bits != 0; }
+  static V zero() { return 0.0; }
+  static V mul(V a, V b) { return a * b; }
+  static V add(V a, V b) { return a + b; }
+  static V sub(V a, V b) { return a - b; }
+  static V max(V a, V b) { return a > b ? a : b; }
+  static V blend(V a, V b, Mask m) { return m ? b : a; }
+};
+
+/// Lane cap from BINOPT_SIMD: 1 for off|0|scalar, 4 for avx2, none
+/// (kMaxLanes) when unset or empty; anything else is rejected.
+std::size_t env_lane_cap() {
   const char* env = std::getenv("BINOPT_SIMD");
-  if (env == nullptr) return false;
-  const std::string value(env);
-  return value == "off" || value == "0" || value == "scalar";
+  if (env == nullptr || *env == '\0') return detail::kMaxLanes;
+  const std::string_view value(env);
+  if (value == "off" || value == "0" || value == "scalar") return 1;
+  if (value == "avx2") return 4;
+  throw PreconditionError(std::string("BINOPT_SIMD must be one of off, 0, "
+                                      "scalar, avx2 (or unset), got '") +
+                          env + "'");
 }
 
-}  // namespace
-
-BatchPricer::BatchPricer(std::size_t steps, ParamConvention convention)
-    : steps_(steps), convention_(convention) {
-  BINOPT_REQUIRE(steps_ >= 1, "lattice needs at least one step");
-  // Size every scratch lane up front: which path runs first (scalar vs
-  // 4-wide) depends on the first batch's shape, and the service's
-  // zero-allocation guarantee must not hinge on that — after construction
-  // price_into never touches the heap.
-  scratch_assets_.resize(steps_ + 1);
-  scratch_values_.resize(steps_ + 1);
-  lane_assets_.resize(4 * (steps_ + 1));
-  lane_values_.resize(4 * (steps_ + 1));
+/// Lanes of the next group: full-width groups, then (8-lane dispatch) one
+/// 4-lane group if at least 4 options remain, then scalar.
+std::size_t group_lanes(std::size_t width, std::size_t remaining) {
+  if (width >= 8 && remaining >= 8) return 8;
+  if (width >= 4 && remaining >= 4) return 4;
+  return 1;
 }
 
-bool BatchPricer::simd_available() { return detail::cpu_has_avx2(); }
-
-bool BatchPricer::simd_enabled() {
-  const int forced = g_simd_override.load(std::memory_order_relaxed);
-  if (forced == 0) return false;
-  if (forced == 1) {
-    BINOPT_REQUIRE(simd_available(),
-                   "BINOPT SIMD forced on but the CPU has no AVX2");
-    return true;
-  }
-  // Automatic: the env escape hatch wins, then the CPU decides. The env
-  // is re-read per call so tests can flip it; getenv is cheap relative to
-  // one lattice sweep.
-  return !env_disables_simd() && simd_available();
-}
-
-void BatchPricer::set_simd_override(int mode) {
-  BINOPT_REQUIRE(mode >= -1 && mode <= 1,
-                 "simd override must be -1 (auto), 0 (scalar) or 1 "
-                 "(vector), got ", mode);
-  g_simd_override.store(mode, std::memory_order_relaxed);
-}
-
-void BatchPricer::price_into(const OptionSpec* specs, std::size_t n,
-                             double* out) {
-  BINOPT_REQUIRE(specs != nullptr || n == 0, "null spec array");
-  BINOPT_REQUIRE(out != nullptr || n == 0, "null output array");
-  std::size_t i = 0;
-  if (simd_enabled() && n >= 4) {
-    for (; i + 4 <= n; i += 4) price_group4(specs + i, out + i);
-  }
-  for (; i < n; ++i) price_scalar(specs[i], out + i);
-}
-
-void BatchPricer::price_group4(const OptionSpec* specs, double* out4) {
-  detail::Lane4 lanes;
-  for (std::size_t lane = 0; lane < 4; ++lane) {
+/// Fills lanes [0, width) from specs. Same validation + parameter
+/// derivation (and the same exceptions, e.g. p outside (0,1)) as the
+/// scalar pricer, in submission order.
+void load_lanes(const OptionSpec* specs, std::size_t width, std::size_t steps,
+                ParamConvention convention, detail::LaneParams& lanes) {
+  for (std::size_t lane = 0; lane < width; ++lane) {
     const OptionSpec& spec = specs[lane];
-    // Same validation + parameter derivation (and the same exceptions,
-    // e.g. p outside (0,1)) as the scalar path, in submission order.
-    const LatticeParams lp = LatticeParams::from(spec, steps_, convention_);
+    const LatticeParams lp = LatticeParams::from(spec, steps, convention);
+    lanes.dt[lane] = lp.dt;
     lanes.spot[lane] = spec.spot;
     lanes.strike[lane] = spec.strike;
     lanes.up[lane] = lp.up;
@@ -90,39 +74,111 @@ void BatchPricer::price_group4(const OptionSpec* specs, double* out4) {
     lanes.american_mask[lane] =
         spec.style == ExerciseStyle::kAmerican ? ~std::uint64_t{0} : 0;
   }
-  detail::price4_avx2(lanes, steps_, lane_assets_.data(),
-                      lane_values_.data(), out4);
 }
 
-void BatchPricer::price_scalar(const OptionSpec& spec, double* out) {
-  // Mirrors BinomialPricer::price operation for operation (iterated-
-  // multiplication leaves, rolling-array induction) with reused scratch
-  // instead of per-call vectors; the results are bit-identical.
-  const LatticeParams lp = LatticeParams::from(spec, steps_, convention_);
-  double* assets = scratch_assets_.data();
-  double* values = scratch_values_.data();
+}  // namespace
 
-  double s = spec.spot;
-  for (std::size_t i = 0; i < steps_; ++i) s *= lp.down;
-  const double up2 = lp.up * lp.up;
-  for (std::size_t k = 0; k <= steps_; ++k) {
-    assets[k] = s;
-    s *= up2;
-  }
-  for (std::size_t k = 0; k <= steps_; ++k) values[k] = spec.payoff(assets[k]);
+BatchPricer::BatchPricer(std::size_t steps, ParamConvention convention)
+    : steps_(steps), convention_(convention) {
+  BINOPT_REQUIRE(steps_ >= 1, "lattice needs at least one step");
+  // Size the scratch for the widest group up front: which width runs first
+  // depends on the first batch's shape, and the service's zero-allocation
+  // guarantee must not hinge on that — after construction neither
+  // price_into nor fronts_into touches the heap.
+  lane_assets_.resize(detail::kMaxLanes * (steps_ + 1));
+  lane_values_.resize(detail::kMaxLanes * (steps_ + 1));
+}
 
-  const bool american = spec.style == ExerciseStyle::kAmerican;
-  for (std::size_t t = steps_; t-- > 0;) {
-    for (std::size_t k = 0; k <= t; ++k) {
-      assets[k] = assets[k] * lp.up;
-      const double continuation =
-          lp.discount *
-          (lp.prob_up * values[k + 1] + lp.prob_down * values[k]);
-      values[k] = american ? std::max(spec.payoff(assets[k]), continuation)
-                           : continuation;
+std::size_t BatchPricer::cpu_simd_width() {
+#if defined(__x86_64__) || defined(_M_X64)
+  static const std::size_t width = [] {
+    if (__builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512dq")) {
+      return std::size_t{8};
     }
+    return __builtin_cpu_supports("avx2") ? std::size_t{4} : std::size_t{1};
+  }();
+  return width;
+#else
+  return 1;
+#endif
+}
+
+std::size_t BatchPricer::simd_width() {
+  const int forced = g_simd_override.load(std::memory_order_relaxed);
+  if (forced >= 0) return static_cast<std::size_t>(forced);
+  // Automatic: the CPU's widest kernel under the env cap. The env is
+  // re-read per call so tests can flip it; getenv is cheap relative to
+  // one lattice sweep.
+  const std::size_t cap = env_lane_cap();
+  const std::size_t cpu = cpu_simd_width();
+  return cpu < cap ? cpu : cap;
+}
+
+bool BatchPricer::simd_enabled() { return simd_width() > 1; }
+
+void BatchPricer::set_simd_override(int lanes) {
+  BINOPT_REQUIRE(lanes == -1 || lanes == 0 || lanes == 4 || lanes == 8,
+                 "simd override must be -1 (auto), 0 (scalar), 4 or 8 "
+                 "lanes, got ", lanes);
+  BINOPT_REQUIRE(lanes <= static_cast<int>(cpu_simd_width()),
+                 "simd override forces ", lanes,
+                 " lanes but the CPU supports ", cpu_simd_width());
+  g_simd_override.store(lanes == 0 ? 1 : lanes, std::memory_order_relaxed);
+}
+
+void BatchPricer::sweep(const detail::LaneParams& lanes, std::size_t width,
+                        double* out, double* rows) {
+  double* assets = lane_assets_.data();
+  double* values = lane_values_.data();
+  if (width == 8) {
+    detail::sweep8_avx512(lanes, steps_, assets, values, out, rows);
+  } else if (width == 4) {
+    detail::sweep4_avx2(lanes, steps_, assets, values, out, rows);
+  } else {
+    detail::lattice_sweep<ScalarOps>(lanes, steps_, assets, values, out, rows);
   }
-  *out = values[0];
+}
+
+void BatchPricer::price_into(const OptionSpec* specs, std::size_t n,
+                             double* out) {
+  BINOPT_REQUIRE(specs != nullptr || n == 0, "null spec array");
+  BINOPT_REQUIRE(out != nullptr || n == 0, "null output array");
+  const std::size_t width = simd_width();
+  detail::LaneParams lanes{};
+  for (std::size_t i = 0; i < n;) {
+    const std::size_t group = group_lanes(width, n - i);
+    load_lanes(specs + i, group, steps_, convention_, lanes);
+    sweep(lanes, group, out + i, nullptr);
+    i += group;
+  }
+}
+
+void BatchPricer::fronts_into(const OptionSpec* specs, std::size_t n,
+                              LatticeFront* out) {
+  BINOPT_REQUIRE(specs != nullptr || n == 0, "null spec array");
+  BINOPT_REQUIRE(out != nullptr || n == 0, "null output array");
+  BINOPT_REQUIRE(steps_ >= 2, "Greeks need at least 2 lattice steps");
+  const std::size_t width = simd_width();
+  detail::LaneParams lanes{};
+  double prices[detail::kMaxLanes] = {};
+  double rows[detail::kFrontRowCount * detail::kMaxLanes] = {};
+  for (std::size_t i = 0; i < n;) {
+    const std::size_t group = group_lanes(width, n - i);
+    load_lanes(specs + i, group, steps_, convention_, lanes);
+    sweep(lanes, group, prices, rows);
+    for (std::size_t lane = 0; lane < group; ++lane) {
+      // De-interleave this lane's ten captured nodes.
+      const auto node = [&](std::size_t r) { return rows[r * group + lane]; };
+      const detail::FrontRows front_rows{{node(0), node(1), node(2)},
+                                         {node(3), node(4), node(5)},
+                                         {node(6), node(7)},
+                                         {node(8), node(9)}};
+      out[i + lane] =
+          detail::front_from_rows(prices[lane], front_rows, lanes.dt[lane]);
+    }
+    i += group;
+  }
 }
 
 }  // namespace binopt::finance

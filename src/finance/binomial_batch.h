@@ -2,25 +2,31 @@
 //
 // The paper's Xeon X5450 baseline — and the service's degrade-to-cpu
 // route — ran the backward induction one option at a time in scalar
-// double. This pricer processes four options per instruction with AVX2:
-// the lattice loop is identical, but each arithmetic op acts on a lane
-// per option (structure-of-arrays, lane-interleaved scratch), so the
-// per-option operation SEQUENCE is exactly the scalar pricer's.
+// double. This pricer processes eight options per instruction with
+// AVX-512 (four with AVX2): the lattice loop is identical, but each
+// arithmetic op acts on a lane per option (structure-of-arrays,
+// lane-interleaved scratch), so the per-option operation SEQUENCE is
+// exactly the scalar pricer's.
 //
-// Bitwise parity, not just tolerance: AVX2 vmulpd/vaddpd/vmaxpd are the
+// Bitwise parity, not just tolerance: vmulpd/vaddpd/vsubpd/vmaxpd are the
 // same correctly-rounded IEEE-754 operations as their scalar SSE2
-// counterparts, the kernel never uses FMA (the scalar build can't emit
-// one either — baseline x86-64 has no FMA), and call/put and
-// American/European lanes are handled by bit-preserving blends. The
-// double path is therefore bit-identical to BinomialPricer::price for
-// every spec (asserted by tests/finance/test_binomial_batch.cpp), which
-// is what lets the PricingService keep its bit-exact parity gates while
-// the CPU backend runs 4-wide.
+// counterparts, the kernels never fuse a multiply into an add (both ISA
+// TUs are built with -ffp-contract=off; baseline x86-64 has no FMA), and
+// call/put and American/European lanes are selected by bit-preserving
+// blends. Every price is therefore bit-identical to BinomialPricer::price
+// (asserted by tests/finance/test_binomial_batch.cpp), which is what lets
+// the PricingService keep its bit-exact parity gates while the CPU backend
+// runs 8-wide.
 //
-// Dispatch is resolved at runtime: AVX2 present -> vector kernel, else
-// (or with BINOPT_SIMD=off, or via set_simd_override) the scalar fallback
-// — the same code shape with reused scratch, so the fallback allocates
-// nothing in steady state either.
+// The same sweep can record the lattice's t in {1, 2} rows, so fronts_into
+// computes a whole book's delta/gamma/theta fronts from the traversal that
+// prices it, bit-identical to the scalar lattice_front_greeks.
+//
+// Dispatch is resolved at runtime: AVX-512F+DQ -> 8 lanes, else AVX2 -> 4
+// lanes, else scalar. BINOPT_SIMD=avx2 caps it at 4 lanes, BINOPT_SIMD=off
+// (or 0, scalar) forces scalar, and set_simd_override forces a width. The
+// scalar path is the same sweep with one lane and reused scratch, so no
+// width allocates in steady state.
 #pragma once
 
 #include <cstddef>
@@ -28,35 +34,46 @@
 #include <vector>
 
 #include "finance/binomial.h"
+#include "finance/greeks.h"
 #include "finance/option.h"
 
 namespace binopt::finance {
 
 namespace detail {
 
-/// Per-lane constants for one 4-option AVX2 group (structure of arrays).
-/// Masks are all-ones / all-zeros bit patterns consumed by vblendvpd.
-struct Lane4 {
-  double spot[4];
-  double strike[4];
-  double up[4];
-  double down[4];
-  double prob_up[4];
-  double prob_down[4];
-  double discount[4];
-  std::uint64_t put_mask[4];
-  std::uint64_t american_mask[4];
+/// Widest lane group any kernel prices at once.
+inline constexpr std::size_t kMaxLanes = 8;
+
+/// Per-lane constants for one lane group (structure of arrays; a W-lane
+/// kernel reads the first W entries). Masks are all-ones / all-zeros bit
+/// patterns. `dt` is not read by the kernels, only by the front formulas.
+struct LaneParams {
+  double dt[kMaxLanes];
+  double spot[kMaxLanes];
+  double strike[kMaxLanes];
+  double up[kMaxLanes];
+  double down[kMaxLanes];
+  double prob_up[kMaxLanes];
+  double prob_down[kMaxLanes];
+  double discount[kMaxLanes];
+  std::uint64_t put_mask[kMaxLanes];
+  std::uint64_t american_mask[kMaxLanes];
 };
 
-/// AVX2 kernel (binomial_simd.cpp, compiled with -mavx2): prices 4
-/// options through one lattice sweep. `assets`/`values` are
-/// lane-interleaved scratch of 4*(steps+1) doubles. Never call without
-/// simd_available().
-void price4_avx2(const Lane4& lanes, std::size_t steps, double* assets,
-                 double* values, double* out4);
+/// Row capture of one W-lane sweep: 10 node rows of W lane-interleaved
+/// doubles, in FrontRows order (asset2[3], value2[3], asset1[2],
+/// value1[2]), so a one-lane capture IS a FrontRows.
+inline constexpr std::size_t kFrontRowCount = 10;
 
-/// True when the running CPU supports the AVX2 kernel.
-[[nodiscard]] bool cpu_has_avx2();
+/// The vector kernels (binomial_avx512.cpp, binomial_avx2.cpp — each the
+/// only TU built with its ISA flags): one lattice sweep over 8 or 4
+/// options. `assets`/`values` are lane-interleaved scratch of
+/// W*(steps+1) doubles; `rows` is null or kFrontRowCount*W doubles. Never
+/// call one the CPU lacks (see BatchPricer::cpu_simd_width).
+void sweep8_avx512(const LaneParams& lanes, std::size_t steps, double* assets,
+                   double* values, double* out, double* rows);
+void sweep4_avx2(const LaneParams& lanes, std::size_t steps, double* assets,
+                 double* values, double* out, double* rows);
 
 }  // namespace detail
 
@@ -69,29 +86,41 @@ public:
   [[nodiscard]] std::size_t steps() const { return steps_; }
 
   /// Prices specs[0..n) into out[0..n); every price is bit-identical to
-  /// BinomialPricer(steps).price(specs[i]). Scratch is reused across
-  /// calls, so steady-state invocations perform no heap allocation.
+  /// BinomialPricer(steps).price(specs[i]). Groups of simd_width() lanes
+  /// first, then (8-lane dispatch) one 4-lane group if at least 4 remain,
+  /// then scalar. Scratch is reused across calls, so steady-state
+  /// invocations perform no heap allocation.
   void price_into(const OptionSpec* specs, std::size_t n, double* out);
 
-  /// AVX2 present on this CPU.
-  [[nodiscard]] static bool simd_available();
-  /// What price_into will actually use: available, not disabled by
-  /// BINOPT_SIMD=off|0|scalar, and not overridden by set_simd_override.
+  /// Lattice fronts of specs[0..n) into out[0..n), grouped like
+  /// price_into; every field is bit-identical to
+  /// lattice_front_greeks(specs[i], steps()) (for the standard CRR
+  /// convention). Needs steps() >= 2; allocates nothing.
+  void fronts_into(const OptionSpec* specs, std::size_t n, LatticeFront* out);
+
+  /// Widest kernel the running CPU supports: 8 (AVX-512F+DQ), 4 (AVX2)
+  /// or 1 (scalar).
+  [[nodiscard]] static std::size_t cpu_simd_width();
+  /// Lanes price_into will use: set_simd_override's forced width if set,
+  /// else cpu_simd_width() capped by BINOPT_SIMD (avx2 -> 4; off, 0,
+  /// scalar -> 1; unset or empty -> no cap). Throws PreconditionError
+  /// naming BINOPT_SIMD on any other value. Re-read per call.
+  [[nodiscard]] static std::size_t simd_width();
+  /// simd_width() > 1.
   [[nodiscard]] static bool simd_enabled();
   /// Test/bench hook: -1 = automatic (env + CPU), 0 = force scalar,
-  /// 1 = force vector (throws later if the CPU can't).
-  static void set_simd_override(int mode);
+  /// 4 or 8 = force that width (throws PreconditionError if the CPU lacks
+  /// it).
+  static void set_simd_override(int lanes);
 
 private:
-  void price_group4(const OptionSpec* specs, double* out4);
-  void price_scalar(const OptionSpec& spec, double* out);
+  void sweep(const detail::LaneParams& lanes, std::size_t width, double* out,
+             double* rows);
 
   std::size_t steps_;
   ParamConvention convention_;
-  std::vector<double> lane_assets_;   ///< 4*(steps+1), lane-interleaved
+  std::vector<double> lane_assets_;  ///< kMaxLanes*(steps+1), interleaved
   std::vector<double> lane_values_;
-  std::vector<double> scratch_assets_;  ///< scalar-path scratch
-  std::vector<double> scratch_values_;
 };
 
 }  // namespace binopt::finance

@@ -13,10 +13,7 @@ LatticeFront lattice_front_greeks(const OptionSpec& spec, std::size_t steps) {
   BINOPT_REQUIRE(steps >= 2, "Greeks need at least 2 lattice steps");
   const LatticeParams lp = LatticeParams::from(spec, steps);
 
-  double value2[3] = {0.0, 0.0, 0.0};
-  double asset2[3] = {0.0, 0.0, 0.0};
-  double value1[2] = {0.0, 0.0};
-  double asset1[2] = {0.0, 0.0};
+  detail::FrontRows rows{};
 
   // Leaf rows, same arithmetic as BinomialPricer::leaf_assets_iterative
   // (all-down leaf, then multiply by u^2 — no pow). With steps == 2 the
@@ -32,8 +29,8 @@ LatticeFront lattice_front_greeks(const OptionSpec& spec, std::size_t steps) {
       assets[k] = s;
       values[k] = spec.payoff(s);
       if (steps == 2) {
-        value2[k] = values[k];
-        asset2[k] = s;
+        rows.value2[k] = values[k];
+        rows.asset2[k] = s;
       }
       s *= up2;
     }
@@ -56,31 +53,43 @@ LatticeFront lattice_front_greeks(const OptionSpec& spec, std::size_t steps) {
       values[k] = american ? std::max(spec.payoff(assets[k]), continuation)
                            : continuation;
       if (t == 2) {
-        value2[k] = values[k];
-        asset2[k] = assets[k];
+        rows.value2[k] = values[k];
+        rows.asset2[k] = assets[k];
       } else if (t == 1) {
-        value1[k] = values[k];
-        asset1[k] = assets[k];
+        rows.value1[k] = values[k];
+        rows.asset1[k] = assets[k];
       }
     }
   }
 
+  return detail::front_from_rows(values[0], rows, lp.dt);
+}
+
+namespace detail {
+
+LatticeFront front_from_rows(double price, const FrontRows& rows, double dt) {
   LatticeFront front;
-  front.price = values[0];
+  front.price = price;
 
   // Delta from the two time-1 nodes.
-  front.delta = (value1[1] - value1[0]) / (asset1[1] - asset1[0]);
+  front.delta = (rows.value1[1] - rows.value1[0]) /
+                (rows.asset1[1] - rows.asset1[0]);
 
   // Gamma from the three time-2 nodes.
-  const double delta_up = (value2[2] - value2[1]) / (asset2[2] - asset2[1]);
-  const double delta_dn = (value2[1] - value2[0]) / (asset2[1] - asset2[0]);
-  front.gamma = (delta_up - delta_dn) / (0.5 * (asset2[2] - asset2[0]));
+  const double delta_up = (rows.value2[2] - rows.value2[1]) /
+                          (rows.asset2[2] - rows.asset2[1]);
+  const double delta_dn = (rows.value2[1] - rows.value2[0]) /
+                          (rows.asset2[1] - rows.asset2[0]);
+  front.gamma =
+      (delta_up - delta_dn) / (0.5 * (rows.asset2[2] - rows.asset2[0]));
 
   // Theta from the recombined middle node two steps ahead (asset price
   // back at S0 there, so the value change is pure time decay).
-  front.theta = (value2[1] - front.price) / (2.0 * lp.dt);
+  front.theta = (rows.value2[1] - front.price) / (2.0 * dt);
   return front;
 }
+
+}  // namespace detail
 
 GreeksBumpSet GreeksBumpSet::from(const OptionSpec& spec, std::size_t steps,
                                   double vol_bump, double rate_bump) {

@@ -22,6 +22,9 @@
 //   assemble_greeks        front + bump-leg prices -> Greeks
 //
 // binomial_greeks composes the three with a scalar BinomialPricer.
+// BatchPricer::fronts_into (binomial_batch.h) computes many fronts at once
+// from the vectorised sweep; lattice_front_greeks stays the scalar
+// reference it is tested against.
 #pragma once
 
 #include <cstddef>
@@ -51,6 +54,26 @@ struct LatticeFront {
   double gamma = 0.0;
   double theta = 0.0;
 };
+
+namespace detail {
+
+/// The interior nodes a front is read off: the t = 2 and t = 1 levels of
+/// one backward induction, k ascending.
+struct FrontRows {
+  double asset2[3];
+  double value2[3];
+  double asset1[2];
+  double value1[2];
+};
+
+/// Delta, gamma and theta from a sweep's price and t in {1, 2} rows. The
+/// one implementation of these formulas: lattice_front_greeks and
+/// BatchPricer::fronts_into both end here, so their fronts agree bit for
+/// bit whenever their rows do.
+[[nodiscard]] LatticeFront front_from_rows(double price, const FrontRows& rows,
+                                           double dt);
+
+}  // namespace detail
 
 /// Backward induction that keeps only rolling value/asset rows, recording
 /// the t in {0, 1, 2} levels. Node-for-node the same arithmetic as

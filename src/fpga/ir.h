@@ -124,8 +124,8 @@ struct AccessSite {
   // Symbolic extension (the verifier's input; optional — sites without it
   // are "unprovable" and flagged by the lint).
   bool has_affine_index = false;  ///< `index` below is meaningful
-  AffineIndexExpr index;          ///< element index as an affine expression
-  AffineGuard guard;              ///< execution predicate of the site
+  AffineIndexExpr index{};        ///< element index as an affine expression
+  AffineGuard guard{};            ///< execution predicate of the site
   /// Barrier segment the site sits in, counted within its region: segment
   /// s of the straight-line prologue has s barriers before it; segment s
   /// of the loop body has s in-loop barriers before it in the same

@@ -61,7 +61,11 @@ Timeline make_kernel_a_timeline(std::size_t batches, double host_s,
   TaskId prev_read = 0;
   bool have_prev = false;
   for (std::size_t b = 0; b < batches; ++b) {
-    const std::string suffix = "[" + std::to_string(b) + "]";
+    // Appended piecewise: GCC 12 misreports `"[" + to_string(b)` at -O3
+    // as an overlapping memcpy (-Wrestrict).
+    std::string suffix = "[";
+    suffix += std::to_string(b);
+    suffix += ']';
     // Host init: in the serial schedule it waits for the previous batch's
     // read; in the overlapped one it only competes for the host thread.
     std::vector<TaskId> init_deps;

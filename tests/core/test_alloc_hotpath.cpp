@@ -10,11 +10,13 @@
 // and the one collection path, so placement must not cost a heap
 // allocation either. The OpenCL simulator's work-group executor is pinned
 // the same way: once warm, running groups of coroutine work-items (frames,
-// local memory, per-item state) must not touch the heap. It is a separate
-// test binary so the hooks cannot perturb the other suites or the
-// ThreadSanitizer job.
+// local memory, per-item state) must not touch the heap, and neither may a
+// constructed finance::BatchPricer pricing a batch or a book's Greeks
+// fronts. It is a separate test binary so the hooks cannot perturb the
+// other suites or the ThreadSanitizer job.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -25,6 +27,7 @@
 
 #include "core/accelerator.h"
 #include "core/service/pricing_service.h"
+#include "finance/binomial_batch.h"
 #include "finance/workload.h"
 #include "kernels/kernel_b.h"
 #include "ocl/workgroup_executor.h"
@@ -308,6 +311,28 @@ std::uint64_t executor_allocations(const ocl::Kernel& kernel,
     executor.execute(kernel, args, range, stats);
   }
   return g_heap_allocations.load(std::memory_order_relaxed) - before;
+}
+
+TEST(AllocHotPath, BatchPricerPricesAndFrontsMakeZeroHeapAllocations) {
+  // 23 = 8 + 8 + 4 + 3 scalar: every group width the host dispatches to,
+  // and the scalar tail, run out of the scratch the constructor sized — no
+  // warm-up call.
+  constexpr std::size_t kBook = 23;
+  const auto specs = finance::make_curve_batch(kBook);
+  std::array<double, kBook> prices{};
+  std::array<finance::LatticeFront, kBook> fronts{};
+  finance::BatchPricer pricer(kSteps);
+  const std::uint64_t before =
+      g_heap_allocations.load(std::memory_order_relaxed);
+  for (int round = 0; round < 10; ++round) {
+    pricer.price_into(specs.data(), specs.size(), prices.data());
+    pricer.fronts_into(specs.data(), specs.size(), fronts.data());
+  }
+  EXPECT_EQ(g_heap_allocations.load(std::memory_order_relaxed) - before, 0u)
+      << "at " << finance::BatchPricer::simd_width() << " lanes";
+  for (std::size_t i = 0; i < kBook; ++i) {
+    ASSERT_EQ(fronts[i].price, prices[i]) << "spec " << i;
+  }
 }
 
 TEST(AllocHotPath, BarrierKernelGroupsMakeZeroHeapAllocations) {

@@ -115,7 +115,9 @@ TEST(GreeksService, BitwiseParityWithDirectGreeks) {
 TEST(GreeksService, BatchParityAcrossACurve) {
   PricingService service(cpu_config());
   GreeksService greeks(service);
-  const auto book = finance::make_curve_batch(16);
+  // 21 = 8 + 8 + 4 + 1: the batched fronts take every group width and a
+  // scalar tail.
+  const auto book = finance::make_curve_batch(21);
 
   const std::vector<GreeksQuote> quotes = greeks.greeks_batch_blocking(book);
   ASSERT_EQ(quotes.size(), book.size());

@@ -66,15 +66,15 @@ TEST(RouterPolicy, ParsesAndRoundTrips) {
         RouterPolicy::kEnergyBudget}) {
     EXPECT_EQ(parse_router_policy(to_string(policy)), policy);
   }
-  EXPECT_THROW(parse_router_policy("fastest"), PreconditionError);
-  EXPECT_THROW(parse_router_policy(""), PreconditionError);
+  EXPECT_THROW((void)parse_router_policy("fastest"), PreconditionError);
+  EXPECT_THROW((void)parse_router_policy(""), PreconditionError);
 }
 
 TEST(RouterPolicy, EnvKnobSelectsThePolicy) {
   ::setenv("BINOPT_SERVICE_ROUTER", "energy", 1);
   EXPECT_EQ(router_policy_from_env(), RouterPolicy::kEnergyBudget);
   ::setenv("BINOPT_SERVICE_ROUTER", "banana", 1);
-  EXPECT_THROW(router_policy_from_env(), PreconditionError);
+  EXPECT_THROW((void)router_policy_from_env(), PreconditionError);
   ::unsetenv("BINOPT_SERVICE_ROUTER");
   EXPECT_EQ(router_policy_from_env(), RouterPolicy::kOff);
 }

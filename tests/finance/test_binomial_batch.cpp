@@ -1,17 +1,24 @@
-// BatchPricer parity: the vectorized (AVX2) batch front-end must produce
-// prices BIT-IDENTICAL to the scalar BinomialPricer for the double path,
-// across option types, exercise styles, batch tails (n % 4 != 0), and
-// dispatch modes. Also covers the runtime SIMD dispatch knobs
-// (set_simd_override, BINOPT_SIMD env).
+// BatchPricer parity: every kernel width — 8-lane AVX-512, 4-lane AVX2 and
+// scalar — must produce prices BIT-IDENTICAL to the scalar BinomialPricer,
+// and Greeks fronts bit-identical to lattice_front_greeks, across option
+// types, exercise styles, lattice depths, and every batch tail the group
+// dispatch can leave. Also covers the runtime dispatch knobs
+// (set_simd_override, BINOPT_SIMD env). Widths the host CPU lacks are
+// skipped.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "finance/binomial.h"
 #include "finance/binomial_batch.h"
+#include "finance/greeks.h"
 #include "finance/workload.h"
 
 namespace binopt::finance {
@@ -22,6 +29,28 @@ constexpr std::size_t kSteps = 64;
 /// Restores the automatic dispatch mode when a test returns.
 struct OverrideGuard {
   ~OverrideGuard() { BatchPricer::set_simd_override(-1); }
+};
+
+/// Saves BINOPT_SIMD, then restores it when a test returns, so tests that
+/// set it (or assert automatic dispatch with it cleared) leave the
+/// environment a CI job chose untouched.
+class SimdEnvGuard {
+public:
+  SimdEnvGuard() {
+    if (const char* env = std::getenv("BINOPT_SIMD")) saved_ = env;
+  }
+  ~SimdEnvGuard() {
+    if (saved_) {
+      setenv("BINOPT_SIMD", saved_->c_str(), /*overwrite=*/1);
+    } else {
+      unsetenv("BINOPT_SIMD");
+    }
+  }
+  SimdEnvGuard(const SimdEnvGuard&) = delete;
+  SimdEnvGuard& operator=(const SimdEnvGuard&) = delete;
+
+private:
+  std::optional<std::string> saved_;
 };
 
 std::vector<OptionSpec> mixed_batch(std::size_t count) {
@@ -36,67 +65,71 @@ std::vector<OptionSpec> mixed_batch(std::size_t count) {
   return specs;
 }
 
+std::uint64_t bits(double x) {
+  std::uint64_t out = 0;
+  std::memcpy(&out, &x, sizeof out);
+  return out;
+}
+
 void expect_bitwise_equal(const std::vector<double>& got,
                           const std::vector<double>& want) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
-    std::uint64_t got_bits = 0;
-    std::uint64_t want_bits = 0;
-    std::memcpy(&got_bits, &got[i], sizeof got_bits);
-    std::memcpy(&want_bits, &want[i], sizeof want_bits);
-    ASSERT_EQ(got_bits, want_bits)
+    ASSERT_EQ(bits(got[i]), bits(want[i]))
         << "spec " << i << ": batch=" << got[i] << " scalar=" << want[i];
   }
 }
 
-std::vector<double> scalar_reference(const std::vector<OptionSpec>& specs) {
-  const BinomialPricer pricer(kSteps);
+std::vector<double> scalar_reference(const std::vector<OptionSpec>& specs,
+                                     std::size_t steps = kSteps) {
+  const BinomialPricer pricer(steps);
   std::vector<double> out;
   out.reserve(specs.size());
   for (const OptionSpec& spec : specs) out.push_back(pricer.price(spec));
   return out;
 }
 
+std::vector<double> batch_prices(const std::vector<OptionSpec>& specs,
+                                 std::size_t steps = kSteps) {
+  BatchPricer batch(steps);
+  std::vector<double> got(specs.size());
+  batch.price_into(specs.data(), specs.size(), got.data());
+  return got;
+}
+
 TEST(BatchPricer, ScalarPathMatchesBinomialPricerBitwise) {
   OverrideGuard guard;
   BatchPricer::set_simd_override(0);  // force the scalar fallback
-  const auto specs = mixed_batch(97);  // tail of 1 past the 4-lane groups
-  const auto want = scalar_reference(specs);
-  BatchPricer batch(kSteps);
-  std::vector<double> got(specs.size());
-  batch.price_into(specs.data(), specs.size(), got.data());
-  expect_bitwise_equal(got, want);
+  const auto specs = mixed_batch(97);
+  expect_bitwise_equal(batch_prices(specs), scalar_reference(specs));
 }
 
 TEST(BatchPricer, Avx2PathMatchesBinomialPricerBitwise) {
-  if (!BatchPricer::simd_available()) {
+  if (BatchPricer::cpu_simd_width() < 4) {
     GTEST_SKIP() << "host CPU has no AVX2";
   }
   OverrideGuard guard;
-  BatchPricer::set_simd_override(1);  // force the vector kernel
+  BatchPricer::set_simd_override(4);  // force the 4-lane kernel
   // 203 = 50 full 4-lane groups + a 3-option tail.
   const auto specs = mixed_batch(203);
-  const auto want = scalar_reference(specs);
-  BatchPricer batch(kSteps);
-  std::vector<double> got(specs.size());
-  batch.price_into(specs.data(), specs.size(), got.data());
-  expect_bitwise_equal(got, want);
+  expect_bitwise_equal(batch_prices(specs), scalar_reference(specs));
 }
 
 TEST(BatchPricer, Avx2MatchesScalarOnCuratedEdgeCases) {
-  if (!BatchPricer::simd_available()) {
+  if (BatchPricer::cpu_simd_width() < 4) {
     GTEST_SKIP() << "host CPU has no AVX2";
   }
   OverrideGuard guard;
   const auto specs = make_smoke_batch();  // deep ITM/OTM, ATM, maturities
-  BatchPricer batch(kSteps);
-  std::vector<double> vec(specs.size());
-  std::vector<double> sca(specs.size());
-  BatchPricer::set_simd_override(1);
-  batch.price_into(specs.data(), specs.size(), vec.data());
   BatchPricer::set_simd_override(0);
-  batch.price_into(specs.data(), specs.size(), sca.data());
-  expect_bitwise_equal(vec, sca);
+  const std::vector<double> scalar = batch_prices(specs);
+  // The AVX-512 kernel too, where the CPU has it.
+  for (const int lanes : {4, 8}) {
+    if (static_cast<std::size_t>(lanes) > BatchPricer::cpu_simd_width()) break;
+    BatchPricer::set_simd_override(lanes);
+    SCOPED_TRACE(testing::Message() << lanes << " lanes");
+    expect_bitwise_equal(batch_prices(specs), scalar);
+  }
 }
 
 TEST(BatchPricer, CurveBatchMatchesPriceBatchBitwise) {
@@ -104,46 +137,85 @@ TEST(BatchPricer, CurveBatchMatchesPriceBatchBitwise) {
   // 2000-option volatility-curve batch must reproduce price_batch exactly.
   const auto specs = make_curve_batch(500);
   const BinomialPricer reference(kSteps);
-  const auto want = reference.price_batch(specs);
-  BatchPricer batch(kSteps);
-  std::vector<double> got(specs.size());
-  batch.price_into(specs.data(), specs.size(), got.data());
-  expect_bitwise_equal(got, want);
+  expect_bitwise_equal(batch_prices(specs), reference.price_batch(specs));
 }
 
 TEST(BatchPricer, OverrideHookControlsDispatch) {
   OverrideGuard guard;
+  SimdEnvGuard env;
+  ASSERT_EQ(unsetenv("BINOPT_SIMD"), 0);  // automatic means the CPU decides
+  const std::size_t cpu = BatchPricer::cpu_simd_width();
   BatchPricer::set_simd_override(0);
+  EXPECT_EQ(BatchPricer::simd_width(), 1u);
   EXPECT_FALSE(BatchPricer::simd_enabled());
-  if (BatchPricer::simd_available()) {
-    BatchPricer::set_simd_override(1);
-    EXPECT_TRUE(BatchPricer::simd_enabled());
+  for (const int lanes : {4, 8}) {
+    if (static_cast<std::size_t>(lanes) <= cpu) {
+      BatchPricer::set_simd_override(lanes);
+      EXPECT_EQ(BatchPricer::simd_width(), static_cast<std::size_t>(lanes));
+      EXPECT_TRUE(BatchPricer::simd_enabled());
+    } else {
+      // Forcing a width the CPU lacks is refused up front.
+      EXPECT_THROW(BatchPricer::set_simd_override(lanes), PreconditionError);
+    }
+  }
+  for (const int bad : {-2, 1, 2, 16}) {
+    EXPECT_THROW(BatchPricer::set_simd_override(bad), PreconditionError)
+        << bad;
   }
   BatchPricer::set_simd_override(-1);
-  // Automatic mode: enabled iff the CPU supports it (no env override in
-  // the test environment is assumed for the positive case).
-  if (!BatchPricer::simd_available()) {
-    EXPECT_FALSE(BatchPricer::simd_enabled());
-  }
+  EXPECT_EQ(BatchPricer::simd_width(), cpu);
+  EXPECT_EQ(BatchPricer::simd_enabled(), cpu > 1);
 }
 
 TEST(BatchPricer, EnvKnobDisablesSimd) {
   OverrideGuard guard;
+  SimdEnvGuard env;
   BatchPricer::set_simd_override(-1);
-  ASSERT_EQ(setenv("BINOPT_SIMD", "off", /*overwrite=*/1), 0);
-  EXPECT_FALSE(BatchPricer::simd_enabled());
-  ASSERT_EQ(setenv("BINOPT_SIMD", "scalar", 1), 0);
-  EXPECT_FALSE(BatchPricer::simd_enabled());
-  ASSERT_EQ(unsetenv("BINOPT_SIMD"), 0);
+  for (const char* off : {"off", "0", "scalar"}) {
+    ASSERT_EQ(setenv("BINOPT_SIMD", off, /*overwrite=*/1), 0);
+    EXPECT_EQ(BatchPricer::simd_width(), 1u) << off;
+    EXPECT_FALSE(BatchPricer::simd_enabled()) << off;
+  }
   // And pricing still works (scalar fallback) with the knob set.
   ASSERT_EQ(setenv("BINOPT_SIMD", "off", 1), 0);
   const auto specs = mixed_batch(9);
-  const auto want = scalar_reference(specs);
-  BatchPricer batch(kSteps);
-  std::vector<double> got(specs.size());
-  batch.price_into(specs.data(), specs.size(), got.data());
-  expect_bitwise_equal(got, want);
-  ASSERT_EQ(unsetenv("BINOPT_SIMD"), 0);
+  expect_bitwise_equal(batch_prices(specs), scalar_reference(specs));
+}
+
+TEST(BatchPricer, EnvKnobAvx2CapsAtFourLanes) {
+  OverrideGuard guard;
+  SimdEnvGuard env;
+  BatchPricer::set_simd_override(-1);
+  ASSERT_EQ(setenv("BINOPT_SIMD", "avx2", 1), 0);
+  const std::size_t cpu = BatchPricer::cpu_simd_width();
+  EXPECT_EQ(BatchPricer::simd_width(), cpu < 4 ? cpu : 4u);
+  // An explicit override still beats the env cap.
+  if (cpu >= 8) {
+    BatchPricer::set_simd_override(8);
+    EXPECT_EQ(BatchPricer::simd_width(), 8u);
+  }
+  // An empty value means unset.
+  BatchPricer::set_simd_override(-1);
+  ASSERT_EQ(setenv("BINOPT_SIMD", "", 1), 0);
+  EXPECT_EQ(BatchPricer::simd_width(), cpu);
+}
+
+TEST(BatchPricer, EnvKnobRejectsUnknownValues) {
+  OverrideGuard guard;
+  SimdEnvGuard env;
+  BatchPricer::set_simd_override(-1);
+  for (const char* bad : {"avx512", "on", "AVX2", "4"}) {
+    ASSERT_EQ(setenv("BINOPT_SIMD", bad, 1), 0);
+    try {
+      (void)BatchPricer::simd_width();
+      ADD_FAILURE() << "BINOPT_SIMD=" << bad << " was accepted";
+    } catch (const PreconditionError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("BINOPT_SIMD"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST(BatchPricer, HandlesEmptyAndSingleOptionBatches) {
@@ -169,6 +241,71 @@ TEST(BatchPricer, ReusedPricerStaysBitExactAcrossCalls) {
   expect_bitwise_equal(out1, scalar_reference(first));
   expect_bitwise_equal(out2, scalar_reference(second));
 }
+
+// ---------------------------------------------------------------------------
+// Every forced width against the scalar BinomialPricer. The parameter is
+// the set_simd_override lane count (0 = scalar).
+
+class BatchPricerWidth : public ::testing::TestWithParam<int> {
+protected:
+  void SetUp() override {
+    if (static_cast<std::size_t>(GetParam()) > BatchPricer::cpu_simd_width()) {
+      GTEST_SKIP() << "host CPU has no " << GetParam() << "-lane kernel";
+    }
+    BatchPricer::set_simd_override(GetParam());
+  }
+  void TearDown() override { BatchPricer::set_simd_override(-1); }
+};
+
+TEST_P(BatchPricerWidth, EveryDepthAndTailMatchesBinomialPricerBitwise) {
+  // 17 = two 8-lane groups + 1; every prefix n = 1..17 exercises each
+  // 8 / 4 / scalar split the group dispatch can produce.
+  const auto specs = mixed_batch(17);
+  for (const std::size_t steps : {2u, 3u, 64u, 128u, 256u}) {
+    const std::vector<double> want = scalar_reference(specs, steps);
+    BatchPricer batch(steps);
+    for (std::size_t n = 1; n <= specs.size(); ++n) {
+      std::vector<double> got(n);
+      batch.price_into(specs.data(), n, got.data());
+      SCOPED_TRACE(testing::Message() << "steps " << steps << ", n " << n);
+      expect_bitwise_equal(got, {want.begin(), want.begin() + n});
+    }
+  }
+}
+
+TEST_P(BatchPricerWidth, FrontsMatchLatticeFrontGreeksBitwise) {
+  // 21 = 8 + 8 + 4 + 1; the prefixes n = 1..21 cover every split of the
+  // group dispatch, and steps 2 and 3 the leaf-row and first-level
+  // captures. All four fields, bit for bit, against the scalar reference.
+  const auto specs = mixed_batch(21);
+  for (const std::size_t steps : {2u, 3u, 64u, 128u}) {
+    std::vector<LatticeFront> want;
+    for (const OptionSpec& spec : specs) {
+      want.push_back(lattice_front_greeks(spec, steps));
+    }
+    BatchPricer batch(steps);
+    for (std::size_t n = 1; n <= specs.size(); ++n) {
+      std::vector<LatticeFront> got(n);
+      batch.fronts_into(specs.data(), n, got.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        SCOPED_TRACE(testing::Message()
+                     << "steps " << steps << ", n " << n << ", spec " << i);
+        ASSERT_EQ(bits(got[i].price), bits(want[i].price));
+        ASSERT_EQ(bits(got[i].delta), bits(want[i].delta));
+        ASSERT_EQ(bits(got[i].gamma), bits(want[i].gamma));
+        ASSERT_EQ(bits(got[i].theta), bits(want[i].theta));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, BatchPricerWidth, ::testing::Values(0, 4, 8),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return info.param == 0
+                                      ? std::string("Scalar")
+                                      : std::string("Lanes") +
+                                            std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace binopt::finance

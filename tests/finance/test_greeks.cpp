@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstddef>
 
+#include "finance/binomial_batch.h"
 #include "finance/black_scholes.h"
 
 namespace binopt::finance {
@@ -121,6 +122,18 @@ TEST(Greeks, LatticeFrontMatchesPricerBitwise) {
               BinomialPricer(steps).price(spec))
         << "steps " << steps;
   }
+}
+
+// BatchPricer::fronts_into refuses the same tiny trees as
+// lattice_front_greeks; its bitwise parity with it at every kernel width
+// is tested beside the other widths in test_binomial_batch.cpp.
+TEST(FrontsInto, RejectsTinyTreesAndHandlesEmptyBooks) {
+  BatchPricer one_step(1);
+  const OptionSpec spec = euro_call();
+  LatticeFront front;
+  EXPECT_THROW(one_step.fronts_into(&spec, 1, &front), PreconditionError);
+  BatchPricer pricer(8);
+  pricer.fronts_into(nullptr, 0, nullptr);  // no-op, must not crash
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@
 // kernel B) across tree sizes and option types.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/statistics.h"
 #include "finance/workload.h"
 #include "kernels/kernel_a.h"
@@ -150,10 +152,14 @@ INSTANTIATE_TEST_SUITE_P(
         SweepCase{64, finance::OptionType::kPut, finance::ExerciseStyle::kEuropean},
         SweepCase{100, finance::OptionType::kPut, finance::ExerciseStyle::kAmerican}),
     [](const ::testing::TestParamInfo<SweepCase>& info) {
-      return "N" + std::to_string(info.param.steps) +
-             (info.param.type == finance::OptionType::kCall ? "Call" : "Put") +
-             (info.param.style == finance::ExerciseStyle::kAmerican ? "Amer"
-                                                                    : "Euro");
+      // Appended piecewise: GCC 12 misreports `"N" + to_string(...)` at
+      // -O3 as an overlapping memcpy (-Wrestrict).
+      std::string name = "N";
+      name += std::to_string(info.param.steps);
+      name += info.param.type == finance::OptionType::kCall ? "Call" : "Put";
+      name += info.param.style == finance::ExerciseStyle::kAmerican ? "Amer"
+                                                                    : "Euro";
+      return name;
     });
 
 }  // namespace

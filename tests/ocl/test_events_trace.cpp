@@ -155,7 +155,9 @@ TEST(EventLog, RetirementNeverDropsPendingCommands) {
   EXPECT_EQ(queue.events().size(), 4u);
   EXPECT_EQ(queue.pending_commands(), 0u);
   for (const EventId id : ids) {
-    if (queue.has_event(id)) EXPECT_TRUE(queue.event(id).completed);
+    if (queue.has_event(id)) {
+      EXPECT_TRUE(queue.event(id).completed);
+    }
   }
   EXPECT_TRUE(queue.has_event(ids.back()));
 }
