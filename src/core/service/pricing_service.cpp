@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/statistics.h"
+#include "finance/binomial_batch.h"
 #include "ocl/faults/fault_plan.h"
 
 namespace binopt::core {
@@ -134,6 +135,11 @@ ServiceConfig PricingService::resolve(ServiceConfig config) {
   config.overload.validate();
   config.overload.apply_env();
   config.overload.validate();
+
+  // BINOPT_SIMD picks the CPU kernel that kCpuReference workers and the
+  // degrade-to-cpu route run: a bad value refuses to start the service,
+  // naming the knob, instead of failing every batch they would price.
+  (void)finance::BatchPricer::simd_width();
   return config;
 }
 

@@ -32,16 +32,15 @@ struct ScalarOps {
   static V blend(V a, V b, Mask m) { return m ? b : a; }
 };
 
-/// Lane cap from BINOPT_SIMD: 1 for off|0|scalar, 4 for avx2, none
-/// (kMaxLanes) when unset or empty; anything else is rejected.
-std::size_t env_lane_cap() {
+/// True when BINOPT_SIMD forces the scalar kernel (off|0|scalar); unset or
+/// empty means automatic, and anything else is rejected.
+bool env_forces_scalar() {
   const char* env = std::getenv("BINOPT_SIMD");
-  if (env == nullptr || *env == '\0') return detail::kMaxLanes;
+  if (env == nullptr || *env == '\0') return false;
   const std::string_view value(env);
-  if (value == "off" || value == "0" || value == "scalar") return 1;
-  if (value == "avx2") return 4;
+  if (value == "off" || value == "0" || value == "scalar") return true;
   throw PreconditionError(std::string("BINOPT_SIMD must be one of off, 0, "
-                                      "scalar, avx2 (or unset), got '") +
+                                      "scalar (or unset), got '") +
                           env + "'");
 }
 
@@ -81,6 +80,9 @@ void load_lanes(const OptionSpec* specs, std::size_t width, std::size_t steps,
 BatchPricer::BatchPricer(std::size_t steps, ParamConvention convention)
     : steps_(steps), convention_(convention) {
   BINOPT_REQUIRE(steps_ >= 1, "lattice needs at least one step");
+  // A mistyped BINOPT_SIMD refuses to build a pricer rather than failing
+  // every later batch.
+  (void)simd_width();
   // Size the scratch for the widest group up front: which width runs first
   // depends on the first batch's shape, and the service's zero-allocation
   // guarantee must not hinge on that — after construction neither
@@ -105,14 +107,13 @@ std::size_t BatchPricer::cpu_simd_width() {
 }
 
 std::size_t BatchPricer::simd_width() {
+  // BINOPT_SIMD is checked even under a forced width, so a bad value is an
+  // error whichever way the width is chosen. The env is re-read per call
+  // so tests can flip it; getenv is cheap relative to one lattice sweep.
+  const bool scalar = env_forces_scalar();
   const int forced = g_simd_override.load(std::memory_order_relaxed);
   if (forced >= 0) return static_cast<std::size_t>(forced);
-  // Automatic: the CPU's widest kernel under the env cap. The env is
-  // re-read per call so tests can flip it; getenv is cheap relative to
-  // one lattice sweep.
-  const std::size_t cap = env_lane_cap();
-  const std::size_t cpu = cpu_simd_width();
-  return cpu < cap ? cpu : cap;
+  return scalar ? 1 : cpu_simd_width();
 }
 
 bool BatchPricer::simd_enabled() { return simd_width() > 1; }

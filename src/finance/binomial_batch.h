@@ -23,10 +23,9 @@
 // prices it, bit-identical to the scalar lattice_front_greeks.
 //
 // Dispatch is resolved at runtime: AVX-512F+DQ -> 8 lanes, else AVX2 -> 4
-// lanes, else scalar. BINOPT_SIMD=avx2 caps it at 4 lanes, BINOPT_SIMD=off
-// (or 0, scalar) forces scalar, and set_simd_override forces a width. The
-// scalar path is the same sweep with one lane and reused scratch, so no
-// width allocates in steady state.
+// lanes, else scalar. BINOPT_SIMD=off (or 0, scalar) forces scalar, and
+// set_simd_override forces a width. The scalar path is the same sweep with
+// one lane and reused scratch, so no width allocates in steady state.
 #pragma once
 
 #include <cstddef>
@@ -102,9 +101,10 @@ public:
   /// or 1 (scalar).
   [[nodiscard]] static std::size_t cpu_simd_width();
   /// Lanes price_into will use: set_simd_override's forced width if set,
-  /// else cpu_simd_width() capped by BINOPT_SIMD (avx2 -> 4; off, 0,
-  /// scalar -> 1; unset or empty -> no cap). Throws PreconditionError
-  /// naming BINOPT_SIMD on any other value. Re-read per call.
+  /// else 1 when BINOPT_SIMD is off, 0 or scalar, else cpu_simd_width().
+  /// Throws PreconditionError naming BINOPT_SIMD on any other non-empty
+  /// value, forced width or not (the constructor calls it, so a bad value
+  /// stops a pricer from being built). Re-read per call.
   [[nodiscard]] static std::size_t simd_width();
   /// simd_width() > 1.
   [[nodiscard]] static bool simd_enabled();

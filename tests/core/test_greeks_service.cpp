@@ -25,6 +25,7 @@
 
 #include "core/service/greeks_service.h"
 #include "core/service/pricing_service.h"
+#include "finance/binomial_batch.h"
 #include "finance/greeks.h"
 #include "finance/workload.h"
 #include "ocl/faults/fault_plan.h"
@@ -113,21 +114,30 @@ TEST(GreeksService, BitwiseParityWithDirectGreeks) {
 }
 
 TEST(GreeksService, BatchParityAcrossACurve) {
-  PricingService service(cpu_config());
-  GreeksService greeks(service);
   // 21 = 8 + 8 + 4 + 1: the batched fronts take every group width and a
-  // scalar tail.
+  // scalar tail. Every kernel width the CPU has must give the same bits,
+  // so each forced width gets a fresh service (no cached legs).
   const auto book = finance::make_curve_batch(21);
-
-  const std::vector<GreeksQuote> quotes = greeks.greeks_batch_blocking(book);
-  ASSERT_EQ(quotes.size(), book.size());
-  for (std::size_t i = 0; i < book.size(); ++i) {
-    expect_greeks_bitwise(quotes[i].greeks,
-                          finance::binomial_greeks(book[i], kSteps));
+  const std::size_t cpu = finance::BatchPricer::cpu_simd_width();
+  struct OverrideReset {
+    ~OverrideReset() { finance::BatchPricer::set_simd_override(-1); }
+  } reset;
+  for (const int lanes : {0, 4, 8}) {
+    if (static_cast<std::size_t>(lanes) > cpu) continue;
+    SCOPED_TRACE(testing::Message() << "forced lanes " << lanes);
+    finance::BatchPricer::set_simd_override(lanes);
+    PricingService service(cpu_config());
+    GreeksService greeks(service);
+    const std::vector<GreeksQuote> quotes = greeks.greeks_batch_blocking(book);
+    ASSERT_EQ(quotes.size(), book.size());
+    for (std::size_t i = 0; i < book.size(); ++i) {
+      expect_greeks_bitwise(quotes[i].greeks,
+                            finance::binomial_greeks(book[i], kSteps));
+    }
+    const GreeksServiceStats stats = greeks.stats();
+    EXPECT_EQ(stats.greeks_requests, book.size());
+    EXPECT_EQ(stats.greeks_legs, 4 * book.size());
   }
-  const GreeksServiceStats stats = greeks.stats();
-  EXPECT_EQ(stats.greeks_requests, book.size());
-  EXPECT_EQ(stats.greeks_legs, 4 * book.size());
 }
 
 // ---------------------------------------------------------------------------

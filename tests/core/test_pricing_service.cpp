@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <exception>
 #include <future>
 #include <limits>
@@ -279,6 +280,32 @@ TEST(PricingService, DestructorDrainsAdmittedRequests) {
   }
   // Admitted work resolves even though the service is gone.
   EXPECT_EQ(future.get().size(), batch.size());
+}
+
+TEST(PricingService, BadSimdEnvRefusesToStart) {
+  // A mistyped BINOPT_SIMD stops the service at construction, naming the
+  // knob, instead of failing every batch a CPU worker (or the degrade-to-
+  // cpu route) would later price. Device-only fleets are refused too.
+  std::optional<std::string> saved;
+  if (const char* env = std::getenv("BINOPT_SIMD")) saved = env;
+  ASSERT_EQ(setenv("BINOPT_SIMD", "avx512", /*overwrite=*/1), 0);
+  for (const Target target : {Target::kCpuReference, Target::kFpgaKernelB}) {
+    try {
+      PricingService service(small_config(target));
+      ADD_FAILURE() << "service started with BINOPT_SIMD=avx512";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("BINOPT_SIMD"), std::string::npos)
+          << e.what();
+    }
+  }
+  if (saved) {
+    setenv("BINOPT_SIMD", saved->c_str(), /*overwrite=*/1);
+  } else {
+    unsetenv("BINOPT_SIMD");
+  }
+  PricingService service(small_config(Target::kCpuReference));
+  EXPECT_EQ(service.submit(finance::make_smoke_batch()[0]).get().target,
+            Target::kCpuReference);
 }
 
 // --- Stats plumbing -----------------------------------------------------

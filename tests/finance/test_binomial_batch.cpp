@@ -182,29 +182,11 @@ TEST(BatchPricer, EnvKnobDisablesSimd) {
   expect_bitwise_equal(batch_prices(specs), scalar_reference(specs));
 }
 
-TEST(BatchPricer, EnvKnobAvx2CapsAtFourLanes) {
-  OverrideGuard guard;
-  SimdEnvGuard env;
-  BatchPricer::set_simd_override(-1);
-  ASSERT_EQ(setenv("BINOPT_SIMD", "avx2", 1), 0);
-  const std::size_t cpu = BatchPricer::cpu_simd_width();
-  EXPECT_EQ(BatchPricer::simd_width(), cpu < 4 ? cpu : 4u);
-  // An explicit override still beats the env cap.
-  if (cpu >= 8) {
-    BatchPricer::set_simd_override(8);
-    EXPECT_EQ(BatchPricer::simd_width(), 8u);
-  }
-  // An empty value means unset.
-  BatchPricer::set_simd_override(-1);
-  ASSERT_EQ(setenv("BINOPT_SIMD", "", 1), 0);
-  EXPECT_EQ(BatchPricer::simd_width(), cpu);
-}
-
 TEST(BatchPricer, EnvKnobRejectsUnknownValues) {
   OverrideGuard guard;
   SimdEnvGuard env;
   BatchPricer::set_simd_override(-1);
-  for (const char* bad : {"avx512", "on", "AVX2", "4"}) {
+  for (const char* bad : {"avx2", "avx512", "on", "OFF", "4"}) {
     ASSERT_EQ(setenv("BINOPT_SIMD", bad, 1), 0);
     try {
       (void)BatchPricer::simd_width();
@@ -215,7 +197,15 @@ TEST(BatchPricer, EnvKnobRejectsUnknownValues) {
       EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos)
           << what;
     }
+    // A bad value stops a pricer from being built, forced width or not.
+    EXPECT_THROW(BatchPricer{kSteps}, PreconditionError) << bad;
+    BatchPricer::set_simd_override(0);
+    EXPECT_THROW((void)BatchPricer::simd_width(), PreconditionError) << bad;
+    BatchPricer::set_simd_override(-1);
   }
+  // An empty value means unset: automatic dispatch.
+  ASSERT_EQ(setenv("BINOPT_SIMD", "", 1), 0);
+  EXPECT_EQ(BatchPricer::simd_width(), BatchPricer::cpu_simd_width());
 }
 
 TEST(BatchPricer, HandlesEmptyAndSingleOptionBatches) {
