@@ -24,20 +24,14 @@ namespace {
 struct Avx2Ops {
   static constexpr std::size_t kLanes = 4;
   using V = __m256d;
-  using Mask = __m256d;  ///< all-ones / all-zeros lanes for vblendvpd
 
   static V load(const double* p) { return _mm256_loadu_pd(p); }
   static void store(double* p, V v) { _mm256_storeu_pd(p, v); }
-  static Mask mask(const std::uint64_t* bits) {
-    return _mm256_castsi256_pd(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bits)));
-  }
   static V zero() { return _mm256_setzero_pd(); }
   static V mul(V a, V b) { return _mm256_mul_pd(a, b); }
   static V add(V a, V b) { return _mm256_add_pd(a, b); }
   static V sub(V a, V b) { return _mm256_sub_pd(a, b); }
   static V max(V a, V b) { return _mm256_max_pd(a, b); }
-  static V blend(V a, V b, Mask m) { return _mm256_blendv_pd(a, b, m); }
 };
 
 }  // namespace

@@ -27,22 +27,17 @@ namespace {
 struct Avx512Ops {
   static constexpr std::size_t kLanes = 8;
   using V = __m512d;
-  using Mask = __mmask8;
 
   static V load(const double* p) { return _mm512_loadu_pd(p); }
   static void store(double* p, V v) { _mm512_storeu_pd(p, v); }
-  /// One mask bit per lane from its pattern's sign bit (AVX-512DQ).
-  static Mask mask(const std::uint64_t* bits) {
-    return _mm512_movepi64_mask(_mm512_loadu_si512(bits));
-  }
   static V zero() { return _mm512_setzero_pd(); }
   static V mul(V a, V b) { return _mm512_mul_pd(a, b); }
   static V add(V a, V b) { return _mm512_add_pd(a, b); }
   static V sub(V a, V b) { return _mm512_sub_pd(a, b); }
-  /// The same vmaxpd as _mm512_max_pd, whose GCC 12 expansion reads
+  /// A plain vmaxpd: GCC folds the all-ones mask away. _mm512_max_pd is
+  /// the same instruction, but its GCC 12 expansion reads
   /// _mm512_undefined_pd() and trips -Wuninitialized.
   static V max(V a, V b) { return _mm512_maskz_max_pd(0xFF, a, b); }
-  static V blend(V a, V b, Mask m) { return _mm512_mask_blend_pd(m, a, b); }
 };
 
 }  // namespace

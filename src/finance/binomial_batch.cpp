@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <string_view>
 
@@ -15,21 +16,18 @@ namespace {
 /// -1 automatic, else the forced width (1 scalar, 4 or 8 lanes).
 std::atomic<int> g_simd_override{-1};
 
-/// The scalar lane ops: one option per "vector", a bool per mask.
+/// The scalar lane ops: one option per "vector".
 struct ScalarOps {
   static constexpr std::size_t kLanes = 1;
   using V = double;
-  using Mask = bool;
 
   static V load(const double* p) { return *p; }
   static void store(double* p, V v) { *p = v; }
-  static Mask mask(const std::uint64_t* bits) { return *bits != 0; }
   static V zero() { return 0.0; }
   static V mul(V a, V b) { return a * b; }
   static V add(V a, V b) { return a + b; }
   static V sub(V a, V b) { return a - b; }
   static V max(V a, V b) { return a > b ? a : b; }
-  static V blend(V a, V b, Mask m) { return m ? b : a; }
 };
 
 /// True when BINOPT_SIMD forces the scalar kernel (off|0|scalar); unset or
@@ -54,24 +52,26 @@ std::size_t group_lanes(std::size_t width, std::size_t remaining) {
 
 /// Fills lanes [0, width) from specs. Same validation + parameter
 /// derivation (and the same exceptions, e.g. p outside (0,1)) as the
-/// scalar pricer, in submission order.
+/// scalar pricer, in submission order. Put lanes get a negated spot and
+/// strike, so their assets are the call chain's exact negation and
+/// s - K is the put payoff's K - s, bit for bit.
 void load_lanes(const OptionSpec* specs, std::size_t width, std::size_t steps,
                 ParamConvention convention, detail::LaneParams& lanes) {
   for (std::size_t lane = 0; lane < width; ++lane) {
     const OptionSpec& spec = specs[lane];
     const LatticeParams lp = LatticeParams::from(spec, steps, convention);
+    const double sign = spec.type == OptionType::kPut ? -1.0 : 1.0;
     lanes.dt[lane] = lp.dt;
-    lanes.spot[lane] = spec.spot;
-    lanes.strike[lane] = spec.strike;
+    lanes.spot[lane] = sign * spec.spot;
+    lanes.strike[lane] = sign * spec.strike;
+    lanes.exercise_strike[lane] = spec.style == ExerciseStyle::kAmerican
+                                      ? lanes.strike[lane]
+                                      : std::numeric_limits<double>::infinity();
     lanes.up[lane] = lp.up;
     lanes.down[lane] = lp.down;
     lanes.prob_up[lane] = lp.prob_up;
     lanes.prob_down[lane] = lp.prob_down;
     lanes.discount[lane] = lp.discount;
-    lanes.put_mask[lane] =
-        spec.type == OptionType::kPut ? ~std::uint64_t{0} : 0;
-    lanes.american_mask[lane] =
-        spec.style == ExerciseStyle::kAmerican ? ~std::uint64_t{0} : 0;
   }
 }
 
@@ -87,8 +87,8 @@ BatchPricer::BatchPricer(std::size_t steps, ParamConvention convention)
   // depends on the first batch's shape, and the service's zero-allocation
   // guarantee must not hinge on that — after construction neither
   // price_into nor fronts_into touches the heap.
-  lane_assets_.resize(detail::kMaxLanes * (steps_ + 1));
-  lane_values_.resize(detail::kMaxLanes * (steps_ + 1));
+  lane_assets_.resize(steps_ + 1);
+  lane_values_.resize(steps_ + 1);
 }
 
 std::size_t BatchPricer::cpu_simd_width() {
@@ -130,8 +130,10 @@ void BatchPricer::set_simd_override(int lanes) {
 
 void BatchPricer::sweep(const detail::LaneParams& lanes, std::size_t width,
                         double* out, double* rows) {
-  double* assets = lane_assets_.data();
-  double* values = lane_values_.data();
+  // Rows are contiguous, so the W-lane interleaved scratch of any width
+  // is the first W*(steps+1) doubles.
+  double* assets = lane_assets_.data()->lane;
+  double* values = lane_values_.data()->lane;
   if (width == 8) {
     detail::sweep8_avx512(lanes, steps_, assets, values, out, rows);
   } else if (width == 4) {
@@ -163,17 +165,22 @@ void BatchPricer::fronts_into(const OptionSpec* specs, std::size_t n,
   const std::size_t width = simd_width();
   detail::LaneParams lanes{};
   double prices[detail::kMaxLanes] = {};
-  double rows[detail::kFrontRowCount * detail::kMaxLanes] = {};
+  alignas(64) double rows[detail::kFrontRowCount * detail::kMaxLanes] = {};
   for (std::size_t i = 0; i < n;) {
     const std::size_t group = group_lanes(width, n - i);
     load_lanes(specs + i, group, steps_, convention_, lanes);
     sweep(lanes, group, prices, rows);
     for (std::size_t lane = 0; lane < group; ++lane) {
-      // De-interleave this lane's ten captured nodes.
+      // De-interleave this lane's ten captured nodes; a put lane's assets
+      // are negated (load_lanes), so its asset rows are negated back.
       const auto node = [&](std::size_t r) { return rows[r * group + lane]; };
-      const detail::FrontRows front_rows{{node(0), node(1), node(2)},
+      const bool put = specs[i + lane].type == OptionType::kPut;
+      const auto asset = [&](std::size_t r) {
+        return put ? -node(r) : node(r);
+      };
+      const detail::FrontRows front_rows{{asset(0), asset(1), asset(2)},
                                          {node(3), node(4), node(5)},
-                                         {node(6), node(7)},
+                                         {asset(6), asset(7)},
                                          {node(8), node(9)}};
       out[i + lane] =
           detail::front_from_rows(prices[lane], front_rows, lanes.dt[lane]);

@@ -10,13 +10,17 @@
 //
 // Bitwise parity, not just tolerance: vmulpd/vaddpd/vsubpd/vmaxpd are the
 // same correctly-rounded IEEE-754 operations as their scalar SSE2
-// counterparts, the kernels never fuse a multiply into an add (both ISA
-// TUs are built with -ffp-contract=off; baseline x86-64 has no FMA), and
-// call/put and American/European lanes are selected by bit-preserving
-// blends. Every price is therefore bit-identical to BinomialPricer::price
-// (asserted by tests/finance/test_binomial_batch.cpp), which is what lets
-// the PricingService keep its bit-exact parity gates while the CPU backend
-// runs 8-wide.
+// counterparts, and the kernels never fuse a multiply into an add (both
+// ISA TUs are built with -ffp-contract=off; baseline x86-64 has no FMA).
+// One node loop serves every lane shape without a lane select: put lanes
+// run the lattice on negated spot and strike (negation is exact and
+// round-to-nearest is sign-symmetric, so s - K on them IS K - s), and
+// each lane's exercise strike is its signed K when American and +inf when
+// European, so max(a - Kx, continuation) is the early-exercise max or the
+// continuation itself. Every price is therefore bit-identical to
+// BinomialPricer::price (asserted by tests/finance/test_binomial_batch.cpp),
+// which is what lets the PricingService keep its bit-exact parity gates
+// while the CPU backend runs 8-wide.
 //
 // The same sweep can record the lattice's t in {1, 2} rows, so fronts_into
 // computes a whole book's delta/gamma/theta fronts from the traversal that
@@ -29,7 +33,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "finance/binomial.h"
@@ -44,19 +47,26 @@ namespace detail {
 inline constexpr std::size_t kMaxLanes = 8;
 
 /// Per-lane constants for one lane group (structure of arrays; a W-lane
-/// kernel reads the first W entries). Masks are all-ones / all-zeros bit
-/// patterns. `dt` is not read by the kernels, only by the front formulas.
-struct LaneParams {
+/// kernel reads the first W entries). Put lanes hold -spot and -strike.
+/// `exercise_strike` is the signed strike on American lanes and +inf on
+/// European ones. `dt` is not read by the kernels, only by the front
+/// formulas.
+struct alignas(64) LaneParams {
   double dt[kMaxLanes];
   double spot[kMaxLanes];
   double strike[kMaxLanes];
+  double exercise_strike[kMaxLanes];
   double up[kMaxLanes];
   double down[kMaxLanes];
   double prob_up[kMaxLanes];
   double prob_down[kMaxLanes];
   double discount[kMaxLanes];
-  std::uint64_t put_mask[kMaxLanes];
-  std::uint64_t american_mask[kMaxLanes];
+};
+
+/// One lattice node of lane-interleaved scratch: a 64-byte-aligned row of
+/// kMaxLanes doubles, so an 8-lane load or store touches one cache line.
+struct alignas(64) LaneRow {
+  double lane[kMaxLanes];
 };
 
 /// Row capture of one W-lane sweep: 10 node rows of W lane-interleaved
@@ -119,8 +129,8 @@ private:
 
   std::size_t steps_;
   ParamConvention convention_;
-  std::vector<double> lane_assets_;  ///< kMaxLanes*(steps+1), interleaved
-  std::vector<double> lane_values_;
+  std::vector<detail::LaneRow> lane_assets_;  ///< steps+1 rows, interleaved
+  std::vector<detail::LaneRow> lane_values_;
 };
 
 }  // namespace binopt::finance

@@ -65,6 +65,55 @@ std::vector<OptionSpec> mixed_batch(std::size_t count) {
   return specs;
 }
 
+/// Specs on the lattice's numeric edges at `steps` steps, each in every
+/// call/put x American/European shape:
+///  * strikes equal, bit for bit, to a leaf's and to an interior node's
+///    asset, built with the reference's own multiply chain, so the payoff
+///    difference is exactly zero there;
+///  * sigma 10, T 81: at 64 steps (p ~ 1.3e-5) the top leaf overflows to
+///    +inf and the bottom one underflows to a subnormal.
+std::vector<OptionSpec> edge_batch(std::size_t steps) {
+  OptionSpec base;
+  base.volatility = 0.3;
+  const std::vector<double> leaves =
+      BinomialPricer(steps).leaf_assets_iterative(base);
+  const double up = LatticeParams::from(base, steps).up;
+  // Node (t, k) is leaf k rolled up steps - t times, as in the induction.
+  const std::size_t t = steps / 2;
+  double interior = leaves[t / 2];
+  for (std::size_t i = t; i < steps; ++i) interior *= up;
+
+  OptionSpec at_leaf = base;
+  at_leaf.strike = leaves[steps / 2 + 1];
+  OptionSpec at_interior = base;
+  at_interior.strike = interior;
+  OptionSpec extreme = base;
+  extreme.volatility = 10.0;
+  extreme.maturity = 81.0;
+
+  std::vector<OptionSpec> specs;
+  for (OptionSpec spec : {at_leaf, at_interior, extreme}) {
+    for (const OptionType type : {OptionType::kCall, OptionType::kPut}) {
+      for (const ExerciseStyle style :
+           {ExerciseStyle::kAmerican, ExerciseStyle::kEuropean}) {
+        spec.type = type;
+        spec.style = style;
+        specs.push_back(spec);
+      }
+    }
+  }
+  return specs;
+}
+
+/// mixed_batch(count) followed by edge_batch(steps).
+std::vector<OptionSpec> mixed_and_edge_batch(std::size_t count,
+                                             std::size_t steps) {
+  std::vector<OptionSpec> specs = mixed_batch(count);
+  const std::vector<OptionSpec> edges = edge_batch(steps);
+  specs.insert(specs.end(), edges.begin(), edges.end());
+  return specs;
+}
+
 std::uint64_t bits(double x) {
   std::uint64_t out = 0;
   std::memcpy(&out, &x, sizeof out);
@@ -247,11 +296,25 @@ protected:
   void TearDown() override { BatchPricer::set_simd_override(-1); }
 };
 
+TEST(BatchPricer, EdgeBatchReachesTheFloatingPointEdges) {
+  // The inputs edge_batch promises: exact-strike nodes, and at 64 steps an
+  // overflowed top leaf and a subnormal bottom leaf.
+  const std::vector<OptionSpec> specs = edge_batch(kSteps);
+  const BinomialPricer pricer(kSteps);
+  const std::vector<double> leaves = pricer.leaf_assets_iterative(specs[0]);
+  EXPECT_EQ(bits(specs[0].strike), bits(leaves[kSteps / 2 + 1]));
+  EXPECT_EQ(specs[0].payoff(leaves[kSteps / 2 + 1]), 0.0);
+  const std::vector<double> extreme = pricer.leaf_assets_iterative(specs[8]);
+  EXPECT_TRUE(std::isinf(extreme.back()));
+  EXPECT_EQ(std::fpclassify(extreme.front()), FP_SUBNORMAL);
+}
+
 TEST_P(BatchPricerWidth, EveryDepthAndTailMatchesBinomialPricerBitwise) {
-  // 17 = two 8-lane groups + 1; every prefix n = 1..17 exercises each
-  // 8 / 4 / scalar split the group dispatch can produce.
-  const auto specs = mixed_batch(17);
+  // 17 random specs + 12 edge specs = 29 = three 8-lane groups + 4 + 1;
+  // every prefix n = 1..29 exercises each 8 / 4 / scalar split the group
+  // dispatch can produce.
   for (const std::size_t steps : {2u, 3u, 64u, 128u, 256u}) {
+    const auto specs = mixed_and_edge_batch(17, steps);
     const std::vector<double> want = scalar_reference(specs, steps);
     BatchPricer batch(steps);
     for (std::size_t n = 1; n <= specs.size(); ++n) {
@@ -264,11 +327,12 @@ TEST_P(BatchPricerWidth, EveryDepthAndTailMatchesBinomialPricerBitwise) {
 }
 
 TEST_P(BatchPricerWidth, FrontsMatchLatticeFrontGreeksBitwise) {
-  // 21 = 8 + 8 + 4 + 1; the prefixes n = 1..21 cover every split of the
-  // group dispatch, and steps 2 and 3 the leaf-row and first-level
-  // captures. All four fields, bit for bit, against the scalar reference.
-  const auto specs = mixed_batch(21);
+  // 21 random specs + 12 edge specs = 33 = 8 + 8 + 8 + 8 + 1; the prefixes
+  // n = 1..33 cover every split of the group dispatch, and steps 2 and 3
+  // the leaf-row and first-level captures. All four fields, bit for bit
+  // (so +-0 and NaN payloads count), against the scalar reference.
   for (const std::size_t steps : {2u, 3u, 64u, 128u}) {
+    const auto specs = mixed_and_edge_batch(21, steps);
     std::vector<LatticeFront> want;
     for (const OptionSpec& spec : specs) {
       want.push_back(lattice_front_greeks(spec, steps));
