@@ -1,8 +1,8 @@
 // AVX-512 instance of the lattice sweep (lattice_sweep.h; see
 // binomial_batch.h for the bitwise-parity argument). This translation unit
-// — and only this one — is compiled with -mavx512f -mavx512dq
-// -ffp-contract=off (src/finance/CMakeLists.txt); callers reach it strictly
-// behind the cpu_simd_width() runtime check.
+// — and only this one — is compiled with -mavx512f -ffp-contract=off
+// (src/finance/CMakeLists.txt); callers reach it strictly behind the
+// cpu_simd_width() runtime check.
 //
 // -mavx512f also enables FMA, and GCC implements the AVX-512 arithmetic
 // intrinsics as plain vector operators, so without -ffp-contract=off it

@@ -94,10 +94,7 @@ BatchPricer::BatchPricer(std::size_t steps, ParamConvention convention)
 std::size_t BatchPricer::cpu_simd_width() {
 #if defined(__x86_64__) || defined(_M_X64)
   static const std::size_t width = [] {
-    if (__builtin_cpu_supports("avx512f") &&
-        __builtin_cpu_supports("avx512dq")) {
-      return std::size_t{8};
-    }
+    if (__builtin_cpu_supports("avx512f")) return std::size_t{8};
     return __builtin_cpu_supports("avx2") ? std::size_t{4} : std::size_t{1};
   }();
   return width;

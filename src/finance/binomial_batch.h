@@ -26,7 +26,7 @@
 // computes a whole book's delta/gamma/theta fronts from the traversal that
 // prices it, bit-identical to the scalar lattice_front_greeks.
 //
-// Dispatch is resolved at runtime: AVX-512F+DQ -> 8 lanes, else AVX2 -> 4
+// Dispatch is resolved at runtime: AVX-512F -> 8 lanes, else AVX2 -> 4
 // lanes, else scalar. BINOPT_SIMD=off (or 0, scalar) forces scalar, and
 // set_simd_override forces a width. The scalar path is the same sweep with
 // one lane and reused scratch, so no width allocates in steady state.
@@ -107,7 +107,7 @@ public:
   /// convention). Needs steps() >= 2; allocates nothing.
   void fronts_into(const OptionSpec* specs, std::size_t n, LatticeFront* out);
 
-  /// Widest kernel the running CPU supports: 8 (AVX-512F+DQ), 4 (AVX2)
+  /// Widest kernel the running CPU supports: 8 (AVX-512F), 4 (AVX2)
   /// or 1 (scalar).
   [[nodiscard]] static std::size_t cpu_simd_width();
   /// Lanes price_into will use: set_simd_override's forced width if set,
