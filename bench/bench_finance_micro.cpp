@@ -5,10 +5,14 @@
 // BatchPricer::fronts_into pass (what GreeksService::greeks_batch_blocking
 // runs) against one scalar lattice_front_greeks per spec (the reference).
 // BM_BatchPriceInto prices the same book at each forced kernel width.
-// Both report time per lattice node and per option; widths the CPU lacks
-// are skipped.
+// BM_CurveBookPriceInto prices the paper's 2000-call strike curve at 256
+// steps in batches of 256 at each forced width; its calls come in strike
+// order, so whole lane groups share a zero region, and skipped_share is
+// the fraction of node updates the sweep skipped. All report time per
+// lattice node and per option; widths the CPU lacks are skipped.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -32,14 +36,15 @@ std::vector<finance::OptionSpec> mixed_book() {
   return book;
 }
 
-void set_node_rate(benchmark::State& state) {
-  const double nodes = static_cast<double>(kBook) *
-                       static_cast<double>((kSteps + 1) * (kSteps + 2) / 2);
+void set_node_rate(benchmark::State& state, std::size_t book = kBook,
+                   std::size_t steps = kSteps) {
+  const double nodes = static_cast<double>(book) *
+                       static_cast<double>((steps + 1) * (steps + 2) / 2);
   state.counters["per_node"] = benchmark::Counter(
       nodes * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
   state.counters["per_option"] = benchmark::Counter(
-      static_cast<double>(kBook) * static_cast<double>(state.iterations()),
+      static_cast<double>(book) * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 
@@ -86,6 +91,44 @@ void BM_BatchPriceInto(benchmark::State& state) {
   set_node_rate(state);
 }
 BENCHMARK(BM_BatchPriceInto)->Arg(0)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
+
+/// Arg: the forced set_simd_override lane count (0 = scalar).
+void BM_CurveBookPriceInto(benchmark::State& state) {
+  constexpr std::size_t kCurve = 2000;
+  constexpr std::size_t kCurveSteps = 256;
+  constexpr std::size_t kBatch = 256;
+  const int lanes = static_cast<int>(state.range(0));
+  if (static_cast<std::size_t>(lanes) > finance::BatchPricer::cpu_simd_width()) {
+    state.SkipWithError("the CPU lacks this kernel width");
+    return;
+  }
+  finance::BatchPricer::set_simd_override(lanes);
+  const std::vector<finance::OptionSpec> book =
+      finance::make_curve_batch(kCurve);
+  std::vector<double> prices(book.size());
+  finance::BatchPricer pricer(kCurveSteps);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < book.size(); i += kBatch) {
+      const std::size_t n = std::min(kBatch, book.size() - i);
+      pricer.price_into(book.data() + i, n, prices.data() + i);
+    }
+    benchmark::DoNotOptimize(prices.data());
+    benchmark::ClobberMemory();
+  }
+  finance::BatchPricer::set_simd_override(-1);
+  set_node_rate(state, kCurve, kCurveSteps);
+  // Node updates: kCurveSteps * (kCurveSteps + 1) / 2 per option.
+  constexpr std::size_t kUpdates = kCurve * kCurveSteps * (kCurveSteps + 1) / 2;
+  const double updates = static_cast<double>(kUpdates) *
+                         static_cast<double>(state.iterations());
+  state.counters["skipped_share"] =
+      static_cast<double>(pricer.nodes_skipped()) / updates;
+}
+BENCHMARK(BM_CurveBookPriceInto)
+    ->Arg(0)
+    ->Arg(4)
+    ->Arg(8)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -32,19 +32,23 @@ struct Avx2Ops {
   static V add(V a, V b) { return _mm256_add_pd(a, b); }
   static V sub(V a, V b) { return _mm256_sub_pd(a, b); }
   static V max(V a, V b) { return _mm256_max_pd(a, b); }
+  static bool none_greater(V a, V b) {
+    return _mm256_movemask_pd(_mm256_cmp_pd(a, b, _CMP_GT_OQ)) == 0;
+  }
 };
 
 }  // namespace
 
-void sweep4_avx2(const LaneParams& lanes, std::size_t steps, double* assets,
-                 double* values, double* out, double* rows) {
-  lattice_sweep<Avx2Ops>(lanes, steps, assets, values, out, rows);
+std::size_t sweep4_avx2(const LaneParams& lanes, std::size_t steps,
+                        double* assets, double* values, double* out,
+                        double* rows) {
+  return lattice_sweep<Avx2Ops>(lanes, steps, assets, values, out, rows);
 }
 
 #else  // non-x86: the dispatcher never selects the vector kernel.
 
-void sweep4_avx2(const LaneParams&, std::size_t, double*, double*, double*,
-                 double*) {
+std::size_t sweep4_avx2(const LaneParams&, std::size_t, double*, double*,
+                        double*, double*) {
   throw binopt::InvariantError("AVX2 kernel called on a non-x86 build");
 }
 

@@ -38,19 +38,23 @@ struct Avx512Ops {
   /// the same instruction, but its GCC 12 expansion reads
   /// _mm512_undefined_pd() and trips -Wuninitialized.
   static V max(V a, V b) { return _mm512_maskz_max_pd(0xFF, a, b); }
+  static bool none_greater(V a, V b) {
+    return _mm512_cmp_pd_mask(a, b, _CMP_GT_OQ) == 0;
+  }
 };
 
 }  // namespace
 
-void sweep8_avx512(const LaneParams& lanes, std::size_t steps, double* assets,
-                   double* values, double* out, double* rows) {
-  lattice_sweep<Avx512Ops>(lanes, steps, assets, values, out, rows);
+std::size_t sweep8_avx512(const LaneParams& lanes, std::size_t steps,
+                          double* assets, double* values, double* out,
+                          double* rows) {
+  return lattice_sweep<Avx512Ops>(lanes, steps, assets, values, out, rows);
 }
 
 #else  // non-x86: the dispatcher never selects the vector kernel.
 
-void sweep8_avx512(const LaneParams&, std::size_t, double*, double*, double*,
-                   double*) {
+std::size_t sweep8_avx512(const LaneParams&, std::size_t, double*, double*,
+                          double*, double*) {
   throw binopt::InvariantError("AVX-512 kernel called on a non-x86 build");
 }
 

@@ -28,6 +28,7 @@ struct ScalarOps {
   static V add(V a, V b) { return a + b; }
   static V sub(V a, V b) { return a - b; }
   static V max(V a, V b) { return a > b ? a : b; }
+  static bool none_greater(V a, V b) { return !(a > b); }
 };
 
 /// True when BINOPT_SIMD forces the scalar kernel (off|0|scalar); unset or
@@ -131,13 +132,18 @@ void BatchPricer::sweep(const detail::LaneParams& lanes, std::size_t width,
   // is the first W*(steps+1) doubles.
   double* assets = lane_assets_.data()->lane;
   double* values = lane_values_.data()->lane;
+  std::size_t rows_skipped = 0;
   if (width == 8) {
-    detail::sweep8_avx512(lanes, steps_, assets, values, out, rows);
+    rows_skipped =
+        detail::sweep8_avx512(lanes, steps_, assets, values, out, rows);
   } else if (width == 4) {
-    detail::sweep4_avx2(lanes, steps_, assets, values, out, rows);
+    rows_skipped =
+        detail::sweep4_avx2(lanes, steps_, assets, values, out, rows);
   } else {
-    detail::lattice_sweep<ScalarOps>(lanes, steps_, assets, values, out, rows);
+    rows_skipped = detail::lattice_sweep<ScalarOps>(lanes, steps_, assets,
+                                                    values, out, rows);
   }
+  nodes_skipped_ += rows_skipped * width;
 }
 
 void BatchPricer::price_into(const OptionSpec* specs, std::size_t n,

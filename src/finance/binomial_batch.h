@@ -26,6 +26,11 @@
 // computes a whole book's delta/gamma/theta fronts from the traversal that
 // prices it, bit-identical to the scalar lattice_front_greeks.
 //
+// In a lane group of only calls or only puts, the sweep skips the nodes
+// every reachable leaf of which pays +0 in every lane: their value is
+// provably the +0 the row already holds, so they only roll their asset up
+// (nodes_skipped() counts them).
+//
 // Dispatch is resolved at runtime: AVX-512F -> 8 lanes, else AVX2 -> 4
 // lanes, else scalar. BINOPT_SIMD=off (or 0, scalar) forces scalar, and
 // set_simd_override forces a width. The scalar path is the same sweep with
@@ -77,12 +82,15 @@ inline constexpr std::size_t kFrontRowCount = 10;
 /// The vector kernels (binomial_avx512.cpp, binomial_avx2.cpp — each the
 /// only TU built with its ISA flags): one lattice sweep over 8 or 4
 /// options. `assets`/`values` are lane-interleaved scratch of
-/// W*(steps+1) doubles; `rows` is null or kFrontRowCount*W doubles. Never
-/// call one the CPU lacks (see BatchPricer::cpu_simd_width).
-void sweep8_avx512(const LaneParams& lanes, std::size_t steps, double* assets,
-                   double* values, double* out, double* rows);
-void sweep4_avx2(const LaneParams& lanes, std::size_t steps, double* assets,
-                 double* values, double* out, double* rows);
+/// W*(steps+1) doubles; `rows` is null or kFrontRowCount*W doubles.
+/// Returns the node rows the sweep skipped as provably +0. Never call one
+/// the CPU lacks (see BatchPricer::cpu_simd_width).
+std::size_t sweep8_avx512(const LaneParams& lanes, std::size_t steps,
+                          double* assets, double* values, double* out,
+                          double* rows);
+std::size_t sweep4_avx2(const LaneParams& lanes, std::size_t steps,
+                        double* assets, double* values, double* out,
+                        double* rows);
 
 }  // namespace detail
 
@@ -106,6 +114,12 @@ public:
   /// lattice_front_greeks(specs[i], steps()) (for the standard CRR
   /// convention). Needs steps() >= 2; allocates nothing.
   void fronts_into(const OptionSpec* specs, std::size_t n, LatticeFront* out);
+
+  /// Node updates skipped since construction: nodes every reachable leaf
+  /// of which pays +0, whose value the sweep leaves at +0 instead of
+  /// recomputing it (DESIGN.md §2.6). A skipped row of a W-lane group
+  /// counts W: one node update per option.
+  [[nodiscard]] std::size_t nodes_skipped() const { return nodes_skipped_; }
 
   /// Widest kernel the running CPU supports: 8 (AVX-512F), 4 (AVX2)
   /// or 1 (scalar).
@@ -131,6 +145,7 @@ private:
   ParamConvention convention_;
   std::vector<detail::LaneRow> lane_assets_;  ///< steps+1 rows, interleaved
   std::vector<detail::LaneRow> lane_values_;
+  std::size_t nodes_skipped_ = 0;
 };
 
 }  // namespace binopt::finance

@@ -11,10 +11,13 @@
 //
 // An Ops struct provides, per W-lane vector V: kLanes; load/store
 // (unaligned); zero(); mul/add/sub; max with vmaxpd semantics
-// (a > b ? a : b, so b on ties and whenever either is NaN).
+// (a > b ? a : b, so b on ties and whenever either is NaN); and
+// none_greater(a, b), true when no lane has a > b (false on NaN).
 #pragma once
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 
 #include "finance/binomial_batch.h"
@@ -33,14 +36,26 @@ inline void capture_level(std::size_t t, const double* assets,
   std::memcpy(row + doubles, values, doubles * sizeof(double));
 }
 
-/// Prices kLanes options through one sweep into out[0..kLanes). `assets`
-/// and `values` are lane-interleaved scratch of kLanes*(steps+1) doubles;
-/// a non-null `rows` (kFrontRowCount*kLanes doubles) receives the t = 2
-/// and t = 1 rows, once per level, outside the node loop. Put lanes carry
-/// negated assets (LaneParams), and so do their captured asset rows.
+/// True when every one of the W lane doubles at `row` is +0, bit for bit.
+template <std::size_t W>
+inline bool zero_row(const double* row) {
+  for (std::size_t lane = 0; lane < W; ++lane) {
+    if (std::bit_cast<std::uint64_t>(row[lane]) != 0) return false;
+  }
+  return true;
+}
+
+/// Prices kLanes options through one sweep into out[0..kLanes) and returns
+/// the node rows it skipped (one row is one node in each of the kLanes
+/// lanes). `assets` and `values` are lane-interleaved scratch of
+/// kLanes*(steps+1) doubles; a non-null `rows` (kFrontRowCount*kLanes
+/// doubles) receives the t = 2 and t = 1 rows, once per level, outside the
+/// node loop. Put lanes carry negated assets (LaneParams), and so do their
+/// captured asset rows.
 template <class Ops>
-void lattice_sweep(const LaneParams& lanes, std::size_t steps, double* assets,
-                   double* values, double* out, double* rows) {
+std::size_t lattice_sweep(const LaneParams& lanes, std::size_t steps,
+                          double* assets, double* values, double* out,
+                          double* rows) {
   constexpr std::size_t W = Ops::kLanes;
   using V = typename Ops::V;
   const V up = Ops::load(lanes.up);
@@ -69,6 +84,33 @@ void lattice_sweep(const LaneParams& lanes, std::size_t steps, double* assets,
   // only visits t < steps.
   if (rows != nullptr && steps == 2) capture_level<W>(2, assets, values, rows);
 
+  // The zero region: rows that are +0 in every lane, at the bottom of the
+  // level for an all-call group and at the top for an all-put group (its
+  // assets are negated, so they fall with k). A mixed group has none.
+  // Inside it a node's children are both +0, so its continuation is +0 and
+  // its value max(a - Kx, +0) is the +0 it already holds unless a > Kx
+  // (DESIGN.md §2.6); the node only rolls its asset up.
+  bool calls = true;
+  bool puts = true;
+  for (std::size_t lane = 0; lane < W; ++lane) {
+    calls = calls && lanes.spot[lane] > 0.0;
+    puts = puts && lanes.spot[lane] < 0.0;
+  }
+  std::size_t zero_rows = 0;
+  if (calls || puts) {
+    while (zero_rows <= steps &&
+           zero_row<W>(values +
+                       W * (calls ? zero_rows : steps - zero_rows))) {
+      ++zero_rows;
+    }
+  }
+  std::size_t skipped = 0;
+  const auto roll_assets = [&](std::size_t from, std::size_t to) {
+    for (std::size_t k = from; k < to; ++k) {
+      Ops::store(assets + W * k, Ops::mul(Ops::load(assets + W * k), up));
+    }
+  };
+
   // Backward induction, seven ops per node and no lane selects. Order of
   // operations per lane matches the scalar rolling-array loop exactly:
   // asset roll-up first, then discount * (p*V_up + q*V_down) with the
@@ -76,7 +118,22 @@ void lattice_sweep(const LaneParams& lanes, std::size_t steps, double* assets,
   // against the exercise strike (+inf on European lanes, so the max
   // always returns the continuation there).
   for (std::size_t t = steps; t-- > 0;) {
-    for (std::size_t k = 0; k <= t; ++k) {
+    // A node is in the region when both its children were, so each level's
+    // region is one row shorter. Assets are monotone in k, so the edge
+    // node (top for calls, bottom for puts) holds the region's largest
+    // asset: if a > Kx there in any lane, the whole level is computed.
+    zero_rows = zero_rows > 0 ? zero_rows - 1 : 0;
+    if (zero_rows > 0) {
+      const std::size_t edge = calls ? zero_rows - 1 : t + 1 - zero_rows;
+      const V a = Ops::mul(Ops::load(assets + W * edge), up);
+      if (!Ops::none_greater(a, exercise_strike)) zero_rows = 0;
+    }
+    skipped += zero_rows;
+    // Nodes [first, last) are computed; the rest are the region.
+    const std::size_t first = calls ? zero_rows : 0;
+    const std::size_t last = t + 1 - (calls ? 0 : zero_rows);
+    roll_assets(0, first);
+    for (std::size_t k = first; k < last; ++k) {
       const V a = Ops::mul(Ops::load(assets + W * k), up);
       Ops::store(assets + W * k, a);
       const V continuation = Ops::mul(
@@ -86,11 +143,13 @@ void lattice_sweep(const LaneParams& lanes, std::size_t steps, double* assets,
       Ops::store(values + W * k,
                  Ops::max(Ops::sub(a, exercise_strike), continuation));
     }
+    roll_assets(last, t + 1);
     if (rows != nullptr && (t == 2 || t == 1)) {
       capture_level<W>(t, assets, values, rows);
     }
   }
   Ops::store(out, Ops::load(values));
+  return skipped;
 }
 
 }  // namespace

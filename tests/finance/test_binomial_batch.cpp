@@ -120,6 +120,101 @@ std::vector<OptionSpec> mixed_and_edge_batch(std::size_t count,
   return specs;
 }
 
+/// Books whose lane groups are all calls or all puts at every width, so
+/// the sweep's zero region applies: the paper's 2000-call strike curve,
+/// its all-put mirror, and random all-call and all-put books (American and
+/// European alternating). Each is a multiple of 8 long.
+std::vector<std::vector<OptionSpec>> homogeneous_books() {
+  std::vector<std::vector<OptionSpec>> books;
+  books.push_back(make_curve_batch());
+  books.push_back(make_curve_batch());
+  for (OptionSpec& spec : books.back()) spec.type = OptionType::kPut;
+  for (const OptionType type : {OptionType::kCall, OptionType::kPut}) {
+    WorkloadConfig config;
+    config.type = type;
+    books.push_back(make_random_batch(64, /*seed=*/77, config));
+    for (std::size_t i = 0; i < books.back().size(); i += 2) {
+      books.back()[i].style = ExerciseStyle::kEuropean;
+    }
+  }
+  return books;
+}
+
+/// The smallest volatility LatticeParams::from accepts at `steps` steps
+/// for `spec` (rate and dividend 0): below it exp(sigma * sqrt(dt))
+/// rounds to 1 and the risk-neutral probability is 0/0.
+double smallest_volatility(OptionSpec spec, std::size_t steps) {
+  const auto accepted = [&](double sigma) {
+    spec.volatility = sigma;
+    try {
+      (void)LatticeParams::from(spec, steps);
+      return true;
+    } catch (const PreconditionError&) {
+      return false;
+    }
+  };
+  const double root_dt = std::sqrt(spec.maturity / static_cast<double>(steps));
+  double lo = std::ldexp(1.0, -54) / root_dt;  // exp rounds to 1: refused
+  double hi = std::ldexp(1.0, -51) / root_dt;
+  EXPECT_FALSE(accepted(lo));
+  EXPECT_TRUE(accepted(hi));
+  while (std::nextafter(lo, hi) != hi) {
+    const double mid = lo + (hi - lo) / 2;
+    (accepted(mid) ? hi : lo) = mid;
+  }
+  return hi;
+}
+
+/// One edge of the zero region at `steps` steps, as a book of 8 `type`
+/// options (American and European alternating), so every lane group at
+/// every width is one of it.
+struct RegionEdge {
+  const char* name;
+  std::vector<OptionSpec> book;
+  bool has_region;  ///< some node every reachable leaf of which pays +0
+};
+
+std::vector<RegionEdge> region_edges(std::size_t steps, OptionType type) {
+  OptionSpec base;
+  base.volatility = 0.3;
+  base.type = type;
+  // The strike IS the asset of the region's edge leaf, so that leaf pays
+  // max(K - K, 0) = +0 and the region ends on it: its top leaf for calls,
+  // its bottom one for puts.
+  OptionSpec at_edge = base;
+  at_edge.strike = BinomialPricer(steps).leaf_assets_iterative(base)[steps / 2];
+  // sigma*sqrt(dt) as small as validate() allows: u is 1 + 2^-52, so
+  // every asset lies within a few hundred ulps of the strike.
+  OptionSpec tiny_step = base;
+  tiny_step.rate = 0.0;
+  tiny_step.volatility = smallest_volatility(tiny_step, steps);
+  EXPECT_EQ(LatticeParams::from(tiny_step, steps).up,
+            std::nextafter(1.0, 2.0));
+  // Every leaf pays +0: the whole tree is the region.
+  OptionSpec deep_otm = base;
+  deep_otm.volatility = 0.1;
+  deep_otm.maturity = 0.25;
+  deep_otm.strike = type == OptionType::kCall ? 1000.0 : 1.0;
+  // No leaf pays +0: no region.
+  OptionSpec deep_itm = base;
+  deep_itm.strike = type == OptionType::kCall ? 1e-3 : 1e6;
+
+  std::vector<RegionEdge> edges = {{"strike at the edge leaf", {}, true},
+                                   {"smallest sigma*sqrt(dt)", {}, true},
+                                   {"deep OTM, all zero", {}, true},
+                                   {"deep ITM, no zero leaf", {}, false}};
+  const OptionSpec specs[] = {at_edge, tiny_step, deep_otm, deep_itm};
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    for (std::size_t i = 0; i < 8; ++i) {
+      OptionSpec spec = specs[e];
+      spec.style = i % 2 == 0 ? ExerciseStyle::kAmerican
+                              : ExerciseStyle::kEuropean;
+      edges[e].book.push_back(spec);
+    }
+  }
+  return edges;
+}
+
 std::uint64_t bits(double x) {
   std::uint64_t out = 0;
   std::memcpy(&out, &x, sizeof out);
@@ -132,6 +227,30 @@ void expect_bitwise_equal(const std::vector<double>& got,
   for (std::size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(bits(got[i]), bits(want[i]))
         << "spec " << i << ": batch=" << got[i] << " scalar=" << want[i];
+  }
+}
+
+std::vector<LatticeFront> front_reference(const std::vector<OptionSpec>& specs,
+                                          std::size_t steps) {
+  std::vector<LatticeFront> out;
+  out.reserve(specs.size());
+  for (const OptionSpec& spec : specs) {
+    out.push_back(lattice_front_greeks(spec, steps));
+  }
+  return out;
+}
+
+/// All four fields of got[i] and want[i] for every i < got.size(), bit
+/// for bit (so +-0 and NaN payloads count).
+void expect_fronts_bitwise(const std::vector<LatticeFront>& got,
+                           const std::vector<LatticeFront>& want) {
+  ASSERT_LE(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "spec " << i);
+    ASSERT_EQ(bits(got[i].price), bits(want[i].price));
+    ASSERT_EQ(bits(got[i].delta), bits(want[i].delta));
+    ASSERT_EQ(bits(got[i].gamma), bits(want[i].gamma));
+    ASSERT_EQ(bits(got[i].theta), bits(want[i].theta));
   }
 }
 
@@ -287,6 +406,59 @@ TEST(BatchPricer, ReusedPricerStaysBitExactAcrossCalls) {
   expect_bitwise_equal(out2, scalar_reference(second));
 }
 
+TEST(BatchPricer, ZeroRegionEndsWhereItsEdgeNodeWouldExercise) {
+  // load_lanes never builds these lanes: American calls whose exercise
+  // strike (50) lies below their payoff strike (100), so nodes whose
+  // leaves all pay +0 still exercise. The skip must not rest on lanes
+  // being well formed; the edge check sees the edge node exercise and
+  // computes the level in full. The reference is the same calls in a
+  // group that one put lane makes mixed, which has no region.
+  constexpr std::size_t steps = 64;
+  OptionSpec spec;
+  const LatticeParams lp = LatticeParams::from(spec, steps);
+  for (const std::size_t width : {4u, 8u}) {
+    if (width > BatchPricer::cpu_simd_width()) break;
+    SCOPED_TRACE(testing::Message() << width << " lanes");
+    detail::LaneParams calls{};
+    for (std::size_t lane = 0; lane < width; ++lane) {
+      calls.dt[lane] = lp.dt;
+      calls.spot[lane] = spec.spot;
+      calls.strike[lane] = spec.strike;
+      calls.exercise_strike[lane] = spec.strike;
+      calls.up[lane] = lp.up;
+      calls.down[lane] = lp.down;
+      calls.prob_up[lane] = lp.prob_up;
+      calls.prob_down[lane] = lp.prob_down;
+      calls.discount[lane] = lp.discount;
+    }
+    const auto sweep = [&](const detail::LaneParams& lanes, double* out) {
+      std::vector<double> assets(width * (steps + 1));
+      std::vector<double> values(width * (steps + 1));
+      return width == 8 ? detail::sweep8_avx512(lanes, steps, assets.data(),
+                                                values.data(), out, nullptr)
+                        : detail::sweep4_avx2(lanes, steps, assets.data(),
+                                              values.data(), out, nullptr);
+    };
+    double out[detail::kMaxLanes] = {};
+    // Well-formed lanes: the region is skipped.
+    EXPECT_GT(sweep(calls, out), 0u);
+    for (std::size_t lane = 0; lane < width; ++lane) {
+      calls.exercise_strike[lane] = 50.0;
+    }
+    detail::LaneParams mixed = calls;
+    mixed.spot[width - 1] = -spec.spot;
+    mixed.strike[width - 1] = -spec.strike;
+    mixed.exercise_strike[width - 1] = -spec.strike;
+    double want[detail::kMaxLanes] = {};
+    EXPECT_EQ(sweep(mixed, want), 0u);
+    (void)sweep(calls, out);
+    for (std::size_t lane = 0; lane + 1 < width; ++lane) {
+      EXPECT_EQ(bits(out[lane]), bits(want[lane])) << "lane " << lane;
+      EXPECT_GT(out[lane], 0.0) << "lane " << lane;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Every forced width against the scalar BinomialPricer. The parameter is
 // the set_simd_override lane count (0 = scalar).
@@ -322,27 +494,106 @@ TEST_P(BatchPricerWidth, EveryDepthAndTailMatchesBinomialPricerBitwise) {
 TEST_P(BatchPricerWidth, FrontsMatchLatticeFrontGreeksBitwise) {
   // 21 random specs + 12 edge specs = 33 = 8 + 8 + 8 + 8 + 1; the prefixes
   // n = 1..33 cover every split of the group dispatch, and steps 2 and 3
-  // the leaf-row and first-level captures. All four fields, bit for bit
-  // (so +-0 and NaN payloads count), against the scalar reference.
+  // the leaf-row and first-level captures.
   for (const std::size_t steps : {2u, 3u, 64u, 128u}) {
     const auto specs = mixed_and_edge_batch(21, steps);
-    std::vector<LatticeFront> want;
-    for (const OptionSpec& spec : specs) {
-      want.push_back(lattice_front_greeks(spec, steps));
-    }
+    const std::vector<LatticeFront> want = front_reference(specs, steps);
     BatchPricer batch(steps);
     for (std::size_t n = 1; n <= specs.size(); ++n) {
       std::vector<LatticeFront> got(n);
       batch.fronts_into(specs.data(), n, got.data());
-      for (std::size_t i = 0; i < n; ++i) {
+      SCOPED_TRACE(testing::Message() << "steps " << steps << ", n " << n);
+      expect_fronts_bitwise(got, want);
+    }
+  }
+}
+
+TEST_P(BatchPricerWidth, HomogeneousBooksSkipZeroNodesBitwise) {
+  // Whole groups of calls or of puts carry a zero region; skipping it
+  // must leave every price and front bit-identical. n = size - 3 leaves a
+  // 4-lane and a scalar tail at 8 lanes.
+  const auto books = homogeneous_books();
+  for (const std::size_t steps : {2u, 3u, 64u, 256u}) {
+    for (std::size_t b = 0; b < books.size(); ++b) {
+      const std::vector<OptionSpec>& book = books[b];
+      const std::vector<double> want = scalar_reference(book, steps);
+      // Fronts at the cheaper depths only.
+      const std::vector<LatticeFront> fronts_want =
+          steps == 256 ? std::vector<LatticeFront>{}
+                       : front_reference(book, steps);
+      for (const std::size_t n : {book.size(), book.size() - 3}) {
         SCOPED_TRACE(testing::Message()
-                     << "steps " << steps << ", n " << n << ", spec " << i);
-        ASSERT_EQ(bits(got[i].price), bits(want[i].price));
-        ASSERT_EQ(bits(got[i].delta), bits(want[i].delta));
-        ASSERT_EQ(bits(got[i].gamma), bits(want[i].gamma));
-        ASSERT_EQ(bits(got[i].theta), bits(want[i].theta));
+                     << "steps " << steps << ", book " << b << ", n " << n);
+        BatchPricer batch(steps);
+        std::vector<double> got(n);
+        batch.price_into(book.data(), n, got.data());
+        expect_bitwise_equal(got, {want.begin(), want.begin() + n});
+        // Two or three steps are too few for all 8 random lanes to share
+        // a zero leaf.
+        if (steps >= 64) {
+          EXPECT_GT(batch.nodes_skipped(), 0u);
+        }
+        if (fronts_want.empty()) continue;
+        std::vector<LatticeFront> fronts(n);
+        batch.fronts_into(book.data(), n, fronts.data());
+        expect_fronts_bitwise(fronts, fronts_want);
       }
     }
+  }
+}
+
+TEST_P(BatchPricerWidth, ZeroRegionEdgesMatchBitwise) {
+  // Each edge of the region as its own book, so the skip count shows
+  // whether the sweep found a region: one wherever a leaf pays +0, none in
+  // a deep-ITM tree.
+  for (const std::size_t steps : {2u, 3u, 64u, 256u}) {
+    for (const OptionType type : {OptionType::kCall, OptionType::kPut}) {
+      for (const RegionEdge& edge : region_edges(steps, type)) {
+        SCOPED_TRACE(testing::Message() << "steps " << steps << ", "
+                                        << to_string(type) << ", "
+                                        << edge.name);
+        BatchPricer batch(steps);
+        std::vector<double> got(edge.book.size());
+        batch.price_into(edge.book.data(), edge.book.size(), got.data());
+        expect_bitwise_equal(got, scalar_reference(edge.book, steps));
+        if (steps >= 64) {
+          EXPECT_EQ(batch.nodes_skipped() > 0, edge.has_region);
+        }
+        std::vector<LatticeFront> fronts(edge.book.size());
+        batch.fronts_into(edge.book.data(), edge.book.size(), fronts.data());
+        expect_fronts_bitwise(fronts, front_reference(edge.book, steps));
+      }
+    }
+  }
+}
+
+TEST(BatchPricer, MixedLaneGroupsSkipNothing) {
+  // Calls and puts alternate, so every 4- and 8-lane group is mixed and
+  // has no zero region, even where each lane's own tree is all zero. (A
+  // one-lane group is never mixed.)
+  std::vector<OptionSpec> specs = mixed_batch(16);
+  const auto calls = region_edges(64, OptionType::kCall);
+  const auto puts = region_edges(64, OptionType::kPut);
+  for (std::size_t e = 0; e < calls.size(); ++e) {
+    for (std::size_t i = 0; i < 8; i += 2) {
+      specs.push_back(calls[e].book[i]);
+      specs.push_back(puts[e].book[i + 1]);
+    }
+  }
+  const std::vector<double> want = scalar_reference(specs, 64);
+  OverrideGuard guard;
+  for (const int lanes : {4, 8}) {
+    if (static_cast<std::size_t>(lanes) > BatchPricer::cpu_simd_width()) break;
+    BatchPricer::set_simd_override(lanes);
+    SCOPED_TRACE(testing::Message() << lanes << " lanes");
+    BatchPricer batch(64);
+    std::vector<double> got(specs.size());
+    batch.price_into(specs.data(), specs.size(), got.data());
+    expect_bitwise_equal(got, want);
+    std::vector<LatticeFront> fronts(specs.size());
+    batch.fronts_into(specs.data(), specs.size(), fronts.data());
+    expect_fronts_bitwise(fronts, front_reference(specs, 64));
+    EXPECT_EQ(batch.nodes_skipped(), 0u);
   }
 }
 
