@@ -61,75 +61,66 @@ GreeksService::GreeksService(PricingService& service, Config config)
                  "bumps must be positive");
 }
 
-GreeksService::Pending GreeksService::submit_greeks(
-    const finance::OptionSpec& spec) {
-  const std::size_t steps = service_.config().steps;
-  const auto timeout = service_.config().default_timeout;
-
-  Pending pending;
-  pending.spec_ = spec;
-  pending.steps_ = steps;
-  pending.set_ = finance::GreeksBumpSet::from(spec, steps, config_.vol_bump,
-                                              config_.rate_bump);
-  // Every leg kind carries its own cache-tag namespace so a clamped
-  // (one-sided) leg — whose spec IS the unbumped spec — still never
-  // shares an entry with a plain quote of the same contract.
-  pending.vega_up_ = service_.submit(pending.set_.vega_up, timeout,
-                                     make_cache_tag(QuoteTagKind::kVegaUp));
-  pending.vega_down_ = service_.submit(
-      pending.set_.vega_down, timeout, make_cache_tag(QuoteTagKind::kVegaDown));
-  pending.rho_up_ = service_.submit(pending.set_.rho_up, timeout,
-                                    make_cache_tag(QuoteTagKind::kRhoUp));
-  pending.rho_down_ = service_.submit(pending.set_.rho_down, timeout,
-                                      make_cache_tag(QuoteTagKind::kRhoDown));
-  greeks_requests_.fetch_add(1, std::memory_order_relaxed);
-  greeks_legs_.fetch_add(4, std::memory_order_relaxed);
-  return pending;
-}
-
-GreeksQuote GreeksService::Pending::get() {
-  // Host-side interior-node work first: it overlaps whatever the device
-  // still owes on the four legs.
-  return assemble(finance::lattice_front_greeks(spec_, steps_));
-}
-
-GreeksQuote GreeksService::Pending::assemble(
-    const finance::LatticeFront& front) {
-  GreeksQuote out;
-  out.vega_up = vega_up_.get();
-  out.vega_down = vega_down_.get();
-  out.rho_up = rho_up_.get();
-  out.rho_down = rho_down_.get();
-  out.vega_one_sided = set_.vega_one_sided;
-  out.rho_one_sided = set_.rho_one_sided;
-  out.greeks = finance::assemble_greeks(
-      front, set_, out.vega_up.price, out.vega_down.price, out.rho_up.price,
-      out.rho_down.price);
-  return out;
-}
-
 GreeksQuote GreeksService::greeks_blocking(const finance::OptionSpec& spec) {
-  return submit_greeks(spec).get();
+  return greeks_batch_blocking({spec}).front();
 }
 
 std::vector<GreeksQuote> GreeksService::greeks_batch_blocking(
     const std::vector<finance::OptionSpec>& specs) {
-  // Admit every request's legs before assembling any: the micro-batcher
-  // sees 4n legs at once — one many-kernel job — instead of n trickles.
-  std::vector<Pending> pending;
-  pending.reserve(specs.size());
+  if (specs.empty()) return {};
+  const std::size_t n = specs.size();
+  const std::size_t steps = service_.config().steps;
+  // Every bump set first, so an invalid spec throws before any leg is
+  // admitted.
+  std::vector<finance::GreeksBumpSet> sets;
+  sets.reserve(n);
   for (const finance::OptionSpec& spec : specs) {
-    pending.push_back(submit_greeks(spec));
+    sets.push_back(finance::GreeksBumpSet::from(spec, steps, config_.vol_bump,
+                                                config_.rate_bump));
   }
-  // The whole book's fronts in one vectorised pass while the workers price
-  // the legs. The pricer is local, so concurrent callers share nothing.
-  std::vector<finance::LatticeFront> fronts(specs.size());
-  finance::BatchPricer pricer(service_.config().steps);
-  pricer.fronts_into(specs.data(), specs.size(), fronts.data());
-  std::vector<GreeksQuote> out;
-  out.reserve(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    out.push_back(pending[i].assemble(fronts[i]));
+  // Option-major legs, each kind under its own cache-tag namespace so a
+  // clamped (one-sided) leg — whose spec IS the unbumped spec — still never
+  // shares an entry with a plain quote of the same contract.
+  std::vector<finance::OptionSpec> legs;
+  std::vector<std::uint32_t> tags;
+  legs.reserve(4 * n);
+  tags.reserve(4 * n);
+  for (const finance::GreeksBumpSet& set : sets) {
+    legs.insert(legs.end(),
+                {set.vega_up, set.vega_down, set.rho_up, set.rho_down});
+    tags.insert(tags.end(), {make_cache_tag(QuoteTagKind::kVegaUp),
+                             make_cache_tag(QuoteTagKind::kVegaDown),
+                             make_cache_tag(QuoteTagKind::kRhoUp),
+                             make_cache_tag(QuoteTagKind::kRhoDown)});
+  }
+  greeks_requests_.fetch_add(n, std::memory_order_relaxed);
+  // The micro-batcher sees all 4n legs at once — one many-kernel job —
+  // while this thread computes the whole book's fronts in one vectorised
+  // pass. The pricer is local, so concurrent callers share nothing. Only
+  // the legs the service took are counted: a shed or shutdown refuses the
+  // rest of the book.
+  std::vector<Quote> quotes(4 * n);
+  std::vector<finance::LatticeFront> fronts(n);
+  service_.price_book_blocking(
+      legs.data(), tags.data(), legs.size(), quotes.data(),
+      [&](std::size_t admitted) {
+        greeks_legs_.fetch_add(admitted, std::memory_order_relaxed);
+        finance::BatchPricer(steps).fronts_into(specs.data(), n,
+                                                fronts.data());
+      });
+  std::vector<GreeksQuote> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Quote* leg = &quotes[4 * i];
+    GreeksQuote& quote = out[i];
+    quote.vega_up = leg[0];
+    quote.vega_down = leg[1];
+    quote.rho_up = leg[2];
+    quote.rho_down = leg[3];
+    quote.vega_one_sided = sets[i].vega_one_sided;
+    quote.rho_one_sided = sets[i].rho_one_sided;
+    quote.greeks = finance::assemble_greeks(fronts[i], sets[i], leg[0].price,
+                                            leg[1].price, leg[2].price,
+                                            leg[3].price);
   }
   return out;
 }

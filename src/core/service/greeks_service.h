@@ -3,15 +3,17 @@
 //
 // One Greeks request expands into the structured bump set of
 // finance::GreeksBumpSet: delta/gamma/theta come from the interior lattice
-// nodes (computed host-side while the device prices: one
-// finance::lattice_front_greeks per single request, one vectorised
-// BatchPricer::fronts_into pass per batch, bit-identical to each other),
-// vega/rho from four re-pricing legs fanned through the
-// service's batcher/router/lock-free spine like any other quotes. The
-// assembled Greeks are bit-identical to direct binomial_greeks on the
-// CPU-reference target because every moving part is shared: the same
-// lattice-front arithmetic, the same clamped divisors, and leg prices the
-// service already guarantees bit-identical to a direct accelerator run.
+// nodes, vega/rho from four re-pricing legs. A book of n requests is one
+// PricingService::price_book_blocking call: its 4n tagged legs share one
+// countdown sink on the caller's stack and flow through the service's
+// batcher/router/lock-free spine like any other quotes, while the caller
+// computes every front in one vectorised BatchPricer::fronts_into pass
+// (bit-identical to finance::lattice_front_greeks). A single request is a
+// one-option book. The assembled Greeks are bit-identical to direct
+// binomial_greeks on the CPU-reference target because every moving part
+// is shared: the same lattice-front arithmetic, the same clamped
+// divisors, and leg prices the service already guarantees bit-identical
+// to a direct accelerator run.
 //
 // A ScenarioSweep turns one submission into thousands of shocked legs
 // (book × spot/vol/rate shock grid) and aggregates P&L into VaR-style
@@ -32,7 +34,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <future>
 #include <vector>
 
 #include "common/histogram.h"
@@ -129,10 +130,13 @@ struct SweepReport {
 /// Cumulative GreeksService counters (monotonic, snapshot via stats()).
 /// greeks_legs + sweep_legs equals the number of service submissions this
 /// layer generated — tests balance them against ServiceStats admission
-/// counters.
+/// counters. A sweep's legs are counted once it has priced, so the
+/// balance holds for sweeps that did not throw.
 struct GreeksServiceStats {
   std::uint64_t greeks_requests = 0;
-  std::uint64_t greeks_legs = 0;  ///< bump legs submitted (4 per request)
+  /// Bump legs the service took (counted in its requests_submitted): 4
+  /// per request, fewer when a shed or shutdown refused part of a book.
+  std::uint64_t greeks_legs = 0;
   std::uint64_t sweeps = 0;
   std::uint64_t sweep_scenarios = 0;
   std::uint64_t sweep_legs = 0;  ///< shocked legs + base book legs
@@ -160,40 +164,19 @@ public:
   /// with plain quote traffic — tags keep the cache honest).
   explicit GreeksService(PricingService& service, Config config = {});
 
-  /// Async handle for one Greeks request: the four bump legs were already
-  /// admitted when submit_greeks returned; get() computes the host-side
-  /// lattice front (overlapping the device work), waits for the legs and
-  /// assembles. Throws whatever a leg's future throws (timeout, backend
-  /// error, shutdown).
-  class Pending {
-  public:
-    [[nodiscard]] GreeksQuote get();
-
-  private:
-    friend class GreeksService;
-    /// Waits for the four legs and assembles them with `front`.
-    [[nodiscard]] GreeksQuote assemble(const finance::LatticeFront& front);
-
-    finance::OptionSpec spec_;
-    std::size_t steps_ = 0;
-    finance::GreeksBumpSet set_;
-    std::future<Quote> vega_up_;
-    std::future<Quote> vega_down_;
-    std::future<Quote> rho_up_;
-    std::future<Quote> rho_down_;
-  };
-
-  /// Expands one spec into its bump set and admits the four legs.
-  [[nodiscard]] Pending submit_greeks(const finance::OptionSpec& spec);
-
-  /// submit_greeks + get.
+  /// A one-option book: greeks_batch_blocking({spec}).
   [[nodiscard]] GreeksQuote greeks_blocking(const finance::OptionSpec& spec);
 
-  /// Fans every request's legs into the service FIRST (one many-kernel
-  /// job for the batcher/router), then computes the whole book's lattice
-  /// fronts with one finance::BatchPricer::fronts_into pass while the
-  /// devices work, then assembles in input order. Safe to call from many
-  /// threads: the pricer and its scratch are local to the call.
+  /// Prices a book's Greeks through one PricingService::price_book_blocking
+  /// call. Builds every bump set first (an invalid spec throws before any
+  /// leg is admitted), lays the 4n legs out option-major — vega up, vega
+  /// down, rho up, rho down, each under its kind's cache tag — and admits
+  /// them into one stack sink; while the workers price them, computes the
+  /// whole book's lattice fronts with one finance::BatchPricer::fronts_into
+  /// pass, then assembles in input order. Returns only after every leg
+  /// has settled, and throws the first leg failure to happen (timeout,
+  /// backend error, shed, shutdown). Safe to call from many threads: the
+  /// pricer and its scratch are local to the call.
   [[nodiscard]] std::vector<GreeksQuote> greeks_batch_blocking(
       const std::vector<finance::OptionSpec>& specs);
 

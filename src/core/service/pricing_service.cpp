@@ -364,7 +364,7 @@ std::future<Quote> PricingService::submit(const finance::OptionSpec& spec,
   // admit() returns.
   std::future<Quote> future = sink.quote_promise->get_future();
   if (const auto refusal =
-          admit(&spec, 1, sink, timeout, cache_tag, priority)) {
+          admit(&spec, &cache_tag, 0, 1, sink, timeout, priority).refusal) {
     std::rethrow_exception(refusal);
   }
   return future;
@@ -391,11 +391,21 @@ std::future<std::vector<double>> PricingService::submit_batch(
   sink.prices = sink.results.data();
   sink.batch_promise.emplace();
   std::future<std::vector<double>> future = sink.batch_promise->get_future();
-  if (const auto refusal = admit(specs.data(), specs.size(), sink, timeout,
-                                 cache_tag, priority)) {
-    std::rethrow_exception(refusal);
-  }
+  const Admission admission = admit(specs.data(), &cache_tag, 0,
+                                    specs.size(), sink, timeout, priority);
+  if (admission.refusal) std::rethrow_exception(admission.refusal);
   return future;
+}
+
+void PricingService::price_book_blocking(const finance::OptionSpec* specs,
+                                         const std::uint32_t* cache_tags,
+                                         std::size_t n, Quote* out,
+                                         OverlapStep overlap) {
+  BINOPT_REQUIRE(cache_tags != nullptr || n == 0, "null cache tag array");
+  Sink sink;
+  sink.quotes = out;
+  settle_blocking(specs, cache_tags, 1, n, sink, config_.default_timeout,
+                  Priority::kNormal, overlap);
 }
 
 void PricingService::price_batch_blocking(const finance::OptionSpec* specs,
@@ -408,16 +418,37 @@ void PricingService::price_batch_blocking(const finance::OptionSpec* specs,
                                           std::chrono::milliseconds timeout,
                                           std::uint32_t cache_tag,
                                           Priority priority) {
-  BINOPT_REQUIRE(specs != nullptr || n == 0, "null spec array");
-  BINOPT_REQUIRE(out != nullptr || n == 0, "null output array");
-  if (n == 0) return;
-  for (std::size_t i = 0; i < n; ++i) check_admissible(specs[i]);
-  // A refusal is already failed into the sink; like every other error it
-  // surfaces below, once the admitted elements have settled.
   Sink sink;
   sink.prices = out;
+  settle_blocking(specs, &cache_tag, 0, n, sink, timeout, priority, {});
+}
+
+void PricingService::settle_blocking(const finance::OptionSpec* specs,
+                                     const std::uint32_t* tags,
+                                     std::size_t tag_stride, std::size_t n,
+                                     Sink& sink,
+                                     std::chrono::milliseconds timeout,
+                                     Priority priority, OverlapStep overlap) {
+  BINOPT_REQUIRE(specs != nullptr || n == 0, "null spec array");
+  BINOPT_REQUIRE((sink.prices != nullptr || sink.quotes != nullptr) || n == 0,
+                 "null output array");
+  for (std::size_t i = 0; i < n; ++i) check_admissible(specs[i]);
+  if (n == 0) {
+    overlap(0);
+    return;
+  }
+  // A refusal is already failed into the sink; like every other error it
+  // surfaces below, once the admitted elements have settled.
   sink.remaining.store(n);
-  (void)admit(specs, n, sink, timeout, cache_tag, priority);
+  const std::size_t admitted =
+      admit(specs, tags, tag_stride, n, sink, timeout, priority).admitted;
+  try {
+    overlap(admitted);
+  } catch (...) {
+    // Joins the sink's first-failure race; the workers may still be
+    // writing into the caller's buffer, so wait before throwing.
+    if (!sink.failed.exchange(true)) sink.error = std::current_exception();
+  }
   std::unique_lock<std::mutex> lock(sink.mutex);
   sink.cv.wait(lock, [&] { return sink.done; });
   if (sink.failed.load()) {
@@ -425,11 +456,10 @@ void PricingService::price_batch_blocking(const finance::OptionSpec* specs,
   }
 }
 
-std::exception_ptr PricingService::admit(const finance::OptionSpec* specs,
-                                         std::size_t n, Sink& sink,
-                                         std::chrono::milliseconds timeout,
-                                         std::uint32_t cache_tag,
-                                         Priority priority) {
+PricingService::Admission PricingService::admit(
+    const finance::OptionSpec* specs, const std::uint32_t* tags,
+    std::size_t tag_stride, std::size_t n, Sink& sink,
+    std::chrono::milliseconds timeout, Priority priority) {
   bool has_deadline = false;
   const auto deadline = deadline_for(timeout, has_deadline);
   const auto admitted_at = std::chrono::steady_clock::now();
@@ -440,7 +470,7 @@ std::exception_ptr PricingService::admit(const finance::OptionSpec* specs,
                        .deadline = deadline,
                        .admitted_at = admitted_at,
                        .has_deadline = has_deadline,
-                       .cache_tag = cache_tag,
+                       .cache_tag = tags[i * tag_stride],
                        .priority = priority,
                        .sink = &sink,
                        .index = i};
@@ -476,11 +506,11 @@ std::exception_ptr PricingService::admit(const finance::OptionSpec* specs,
                 : std::make_exception_ptr(ServiceShutdownError(
                       "pricing service is shutting down"));
         fail_sink(sink, refusal, n - i);
-        return refusal;
+        return {i, refusal};
       }
     }
   }
-  return nullptr;
+  return {n, nullptr};
 }
 
 PricingService::AdmitOutcome PricingService::admit_one(Request* request) {

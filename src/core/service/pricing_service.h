@@ -8,11 +8,15 @@
 // small concurrent quote requests" and "few large NDRange launches":
 //
 //   submit()/submit_batch()  futures for single quotes / whole curves
-//   price_batch_blocking()   synchronous zero-allocation variant: prices
-//                            land in a caller buffer and the caller blocks
-//                            on a stack-allocated countdown sink — no
-//                            promise, no future, no heap (the benchmark
-//                            hot path)
+//   price_book_blocking()    synchronous zero-allocation path: a tagged
+//                            book's Quotes land in a caller buffer and the
+//                            caller blocks on a stack-allocated countdown
+//                            sink — no promise, no future, no heap — after
+//                            running its own overlap step (the Greeks
+//                            book's lattice fronts) between admission and
+//                            the wait
+//   price_batch_blocking()   the same path with one tag and prices out
+//                            (the benchmark hot path)
 //   micro-batcher            per-backend workers coalesce queued requests
 //                            into one accelerator run (up to max_batch,
 //                            lingering up to `linger` for stragglers)
@@ -59,7 +63,7 @@
 // rare by construction), guarded by an atomic counter so the fault-free
 // hot path never takes its lock.
 //
-// One admission loop serves all three front-ends, and every request
+// One admission loop serves all four front-ends, and every request
 // resolves into one kind of completion sink: a countdown shared by the
 // requests of one call. The last count-down either wakes the blocked
 // caller (a stack sink) or publishes the call's promise (a heap sink,
@@ -93,6 +97,7 @@
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.h"
@@ -263,6 +268,33 @@ struct Quote {
   double accuracy_bound = 0.0;
 };
 
+/// The caller's own work between admission and the wait of
+/// PricingService::price_book_blocking: a non-owning reference to a
+/// `void(std::size_t admitted)` callable, so passing one never allocates.
+/// `admitted` is how many elements the service took (each counted in
+/// requests_submitted): all n, or fewer when a shed or shutdown refused
+/// the rest of the book. Default-constructed, it does nothing.
+class OverlapStep {
+public:
+  OverlapStep() = default;
+  template <typename F>
+    requires(std::is_invocable_v<F&, std::size_t> &&
+             !std::is_same_v<std::remove_cvref_t<F>, OverlapStep>)
+  OverlapStep(F&& step)  // NOLINT(google-explicit-constructor)
+      : step_(const_cast<void*>(
+            static_cast<const void*>(std::addressof(step)))),
+        run_([](void* s, std::size_t admitted) {
+          (*static_cast<std::remove_reference_t<F>*>(s))(admitted);
+        }) {}
+  void operator()(std::size_t admitted) const {
+    if (run_ != nullptr) run_(step_, admitted);
+  }
+
+private:
+  void* step_ = nullptr;
+  void (*run_)(void*, std::size_t) = nullptr;
+};
+
 class PricingService {
 public:
   explicit PricingService(ServiceConfig config);
@@ -305,14 +337,24 @@ public:
       std::chrono::milliseconds timeout, std::uint32_t cache_tag = 0,
       Priority priority = Priority::kNormal);
 
-  /// Synchronous batch pricing into a caller buffer: blocks until every
-  /// spec is priced (out[i] = price of specs[i]) or rethrows the first
-  /// element's error. Same admission, batching, caching, retry, and
-  /// deadline semantics as submit_batch — but the completion sink lives
-  /// on the caller's stack instead of behind a promise, so a steady-state
-  /// call performs ZERO heap allocations end to end (asserted by
-  /// tests/core/test_alloc_hotpath.cpp). A shed or shutdown mid-batch
-  /// returns only after the admitted elements settled.
+  /// Synchronous pricing of a tagged book into a caller buffer: out[i] is
+  /// the Quote of specs[i] under cache tag cache_tags[i] (see submit).
+  /// Every spec is checked before any is admitted; all n then share one
+  /// countdown sink on the caller's stack, `overlap` runs, and the call
+  /// waits until every element has settled, also when `overlap` throws,
+  /// so no worker writes into a dead frame. It then rethrows the first
+  /// failure to happen (an element's error or the step's exception), not
+  /// the first in book order. Same admission, batching, caching, retry and
+  /// deadline semantics as submit_batch; a steady-state call makes ZERO
+  /// heap allocations (asserted by tests/core/test_alloc_hotpath.cpp). A
+  /// shed or shutdown mid-book fails the rest of the book. Elements run
+  /// at Priority::kNormal under config().default_timeout.
+  void price_book_blocking(const finance::OptionSpec* specs,
+                           const std::uint32_t* cache_tags, std::size_t n,
+                           Quote* out, OverlapStep overlap = {});
+
+  /// price_book_blocking with one tag for every element, no overlap step,
+  /// and prices out: out[i] = price of specs[i].
   void price_batch_blocking(const finance::OptionSpec* specs, std::size_t n,
                             double* out);
   void price_batch_blocking(const finance::OptionSpec* specs, std::size_t n,
@@ -338,7 +380,7 @@ private:
   /// front-end call. fulfil() writes prices[index] (or the whole Quote
   /// into quotes[index] when the caller asked for attribution), fail()
   /// keeps the first error, and the last count-down settles the call. A
-  /// stack sink (price_batch_blocking) wakes its blocked caller; a heap
+  /// stack sink (price_book_blocking) wakes its blocked caller; a heap
   /// sink (submit, submit_batch — leased from the sink pool) publishes its
   /// engaged promise and returns to the pool.
   struct Sink {
@@ -525,16 +567,30 @@ private:
   AdmitOutcome admit_one(Request* request);
 
   /// The one admission loop behind submit, submit_batch and
-  /// price_batch_blocking. Leases a slot per spec (element i resolves
-  /// into sink index i) and admits it, blocking per
-  /// element (backpressure is per option, so an oversized curve streams
-  /// in as workers drain). Admission-deadline expiries are settled in
-  /// place. A shed or shutdown stops the loop: the refused element and
-  /// the rest of the batch are failed into the sink with the typed error,
-  /// which is returned; null means every element was consumed.
-  std::exception_ptr admit(const finance::OptionSpec* specs, std::size_t n,
-                           Sink& sink, std::chrono::milliseconds timeout,
-                           std::uint32_t cache_tag, Priority priority);
+  /// price_book_blocking. Leases a slot per spec (element i resolves
+  /// into sink index i, under cache tag tags[i * tag_stride]: stride 1
+  /// gives every element its own tag, 0 shares tags[0]) and admits it,
+  /// blocking per element (backpressure is per option, so an oversized
+  /// curve streams in as workers drain). Admission-deadline expiries are
+  /// settled in place. A shed or shutdown stops the loop: the refused
+  /// element and the rest of the batch are failed into the sink with the
+  /// typed error, which is returned as the refusal; `admitted` counts the
+  /// elements taken before it (all n when the refusal is null).
+  struct Admission {
+    std::size_t admitted = 0;
+    std::exception_ptr refusal;
+  };
+  Admission admit(const finance::OptionSpec* specs, const std::uint32_t* tags,
+                  std::size_t tag_stride, std::size_t n, Sink& sink,
+                  std::chrono::milliseconds timeout, Priority priority);
+
+  /// The stack-sink path behind price_book_blocking and
+  /// price_batch_blocking: `sink` names the caller's output buffer.
+  void settle_blocking(const finance::OptionSpec* specs,
+                       const std::uint32_t* tags, std::size_t tag_stride,
+                       std::size_t n, Sink& sink,
+                       std::chrono::milliseconds timeout, Priority priority,
+                       OverlapStep overlap);
 
   /// Non-blocking: moves every currently-collectable request (ready
   /// retries first — for a probe, only once the ring is empty — then the

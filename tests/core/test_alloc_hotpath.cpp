@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/accelerator.h"
+#include "core/service/greeks_service.h"
 #include "core/service/pricing_service.h"
 #include "finance/binomial_batch.h"
 #include "finance/workload.h"
@@ -275,6 +276,24 @@ TEST(AllocHotPath, SteadyStateSubmitBatchAllocationsStayBounded) {
   const double per_call = allocations_per_call(
       [&] { EXPECT_EQ(service.submit_batch(specs).get().size(), kBatch); });
   EXPECT_LE(per_call, 5.0) << per_call << " allocations per submit_batch()";
+}
+
+TEST(AllocHotPath, GreeksBookAllocationsDoNotGrowWithTheBook) {
+  // A Greeks book admits its 4n tagged legs into one stack sink, so what
+  // it allocates is its own per-call arrays (bump sets, legs, tags, leg
+  // quotes, fronts, the pricer's scratch, the result), never anything per
+  // leg: a 256-option book allocates exactly what a 64-option book does.
+  PricingService service(hotpath_config());
+  GreeksService greeks(service);
+  const auto small = finance::make_random_batch(64, 7);
+  const auto large = finance::make_random_batch(256, 7);
+  const double per_small = allocations_per_call(
+      [&] { EXPECT_EQ(greeks.greeks_batch_blocking(small).size(), 64u); });
+  const double per_large = allocations_per_call(
+      [&] { EXPECT_EQ(greeks.greeks_batch_blocking(large).size(), 256u); });
+  EXPECT_EQ(per_small, per_large)
+      << per_small << " allocations per 64-option book, " << per_large
+      << " per 256-option book";
 }
 
 TEST(AllocHotPath, StatsStillTrackZeroAllocTraffic) {

@@ -20,7 +20,10 @@
 #include <chrono>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/service/greeks_service.h"
@@ -350,6 +353,151 @@ TEST(GreeksService, LegCountersBalanceServiceAdmissions) {
   // service: greeks legs + sweep legs == admitted requests.
   EXPECT_EQ(mine.greeks_legs + mine.sweep_legs, delta.requests_submitted);
   EXPECT_EQ(delta.requests_completed, delta.requests_submitted);
+}
+
+TEST(GreeksService, LegCountersBalanceAShedBook) {
+  // A stalled worker holds one realtime blocker; with a queue of 8 and
+  // watermark 0.5, kNormal admission sheds at occupancy 6. A two-option
+  // book's 8 legs: the first 6 are admitted, the seventh sheds and the
+  // eighth is refused with it. Only the 6 the service took are counted.
+  ServiceConfig config;
+  config.targets = {Target::kFpgaKernelB};
+  config.steps = kSteps;
+  config.max_batch = 1;
+  config.linger = 0us;
+  config.queue_capacity = 8;
+  config.overload.shed_watermark = 0.5;
+  config.worker_fault_plans.push_back(parse_fault_plan("stall@1,ms=300"));
+  PricingService service(std::move(config));
+  GreeksService greeks(service);
+  const auto batch = finance::make_curve_batch(3);
+  auto blocker = service.submit(batch[0], kNoTimeout, 0, Priority::kRealtime);
+  while (service.queued_requests() != 0) std::this_thread::sleep_for(100us);
+
+  try {
+    (void)greeks.greeks_batch_blocking({batch[1], batch[2]});
+    FAIL() << "the seventh kNormal leg must shed at occupancy 6";
+  } catch (const ServiceOverloadError& error) {
+    EXPECT_EQ(error.occupancy(), 6u);
+    EXPECT_EQ(error.threshold(), 6u);
+  }
+  EXPECT_GT(blocker.get().price, 0.0);
+
+  // The call returned after its admitted legs settled, so the counters
+  // are complete: 6 legs plus the blocker reached the service.
+  const service::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.requests_submitted, 7u);
+  EXPECT_EQ(stats.requests_completed, 7u);
+  EXPECT_EQ(stats.requests_shed_normal, 1u);
+  EXPECT_EQ(greeks.stats().greeks_requests, 2u);
+  EXPECT_EQ(greeks.stats().greeks_legs, stats.requests_submitted - 1);
+}
+
+// ---------------------------------------------------------------------------
+// One stack sink per book: admission, settle-before-return, and failures.
+
+TEST(GreeksService, EmptyBookReturnsEmptyAndAdmitsNothing) {
+  PricingService service(cpu_config());
+  GreeksService greeks(service);
+  EXPECT_TRUE(greeks.greeks_batch_blocking({}).empty());
+  EXPECT_EQ(service.stats().requests_submitted, 0u);
+  EXPECT_EQ(greeks.stats().greeks_requests, 0u);
+  EXPECT_EQ(greeks.stats().greeks_legs, 0u);
+}
+
+TEST(GreeksService, InvalidSpecThrowsBeforeAnyLegIsAdmitted) {
+  PricingService service(cpu_config());
+  GreeksService greeks(service);
+  std::vector<finance::OptionSpec> book = finance::make_curve_batch(6);
+  book.back().volatility = -0.2;
+  EXPECT_THROW((void)greeks.greeks_batch_blocking(book), PreconditionError);
+  // Not even the valid options' legs reached the service.
+  EXPECT_EQ(service.stats().requests_submitted, 0u);
+  EXPECT_EQ(greeks.stats().greeks_legs, 0u);
+
+  // The service is untouched: the valid prefix prices normally.
+  book.pop_back();
+  const std::vector<GreeksQuote> quotes = greeks.greeks_batch_blocking(book);
+  ASSERT_EQ(quotes.size(), book.size());
+  EXPECT_EQ(service.stats().requests_submitted, 4 * book.size());
+}
+
+TEST(GreeksService, ExhaustedRetriesThrowOnlyAfterEveryLegSettled) {
+  // Kernel B launches one NDRange per service batch, so "transient@1"
+  // fails exactly the first batch of legs; with one attempt and no
+  // degradation those legs fail while the book's later batches price.
+  ServiceConfig config;
+  config.targets = {Target::kFpgaKernelB};
+  config.steps = kSteps;
+  config.max_batch = 16;
+  config.linger = 0us;
+  config.retry.max_attempts = 1;
+  config.degrade_to_cpu = false;
+  config.worker_fault_plans.push_back(parse_fault_plan("transient@1"));
+  PricingService service(std::move(config));
+  GreeksService greeks(service);
+  const auto book = finance::make_curve_batch(12);  // 48 legs, 3 batches
+
+  EXPECT_THROW((void)greeks.greeks_batch_blocking(book),
+               ocl::faults::TransientDeviceError);
+  // The throw came only after every leg settled: the service's books
+  // already balance, with the failed batch and the priced rest.
+  const service::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.requests_submitted, 4 * book.size());
+  EXPECT_EQ(stats.requests_completed + stats.requests_failed +
+                stats.requests_timed_out,
+            stats.requests_submitted);
+  EXPECT_GE(stats.requests_failed, 1u);
+  EXPECT_GE(stats.requests_completed, 1u);
+
+  // The fault was one-shot: a second book on the same service succeeds,
+  // bit for bit.
+  const std::vector<GreeksQuote> quotes = greeks.greeks_batch_blocking(book);
+  const std::vector<finance::Greeks> want =
+      direct_greeks(book, Target::kFpgaKernelB, kSteps);
+  ASSERT_EQ(quotes.size(), book.size());
+  for (std::size_t i = 0; i < book.size(); ++i) {
+    expect_greeks_bitwise(quotes[i].greeks, want[i]);
+  }
+}
+
+TEST(GreeksService, ThrowingOverlapStepIsRethrownAfterEveryElementSettled) {
+  // The first launch stalls for 100 ms, so every element is still in
+  // flight when the overlap step throws. The call must still wait for
+  // all of them (the workers write into the caller's stack sink) before
+  // it rethrows the step's exception.
+  constexpr auto kStall = 100ms;
+  ServiceConfig config;
+  config.targets = {Target::kFpgaKernelB};
+  config.steps = kSteps;
+  config.linger = 0us;
+  config.worker_fault_plans.push_back(parse_fault_plan("stall@1,ms=100"));
+  PricingService service(std::move(config));
+  const auto book = finance::make_curve_batch(8);
+  const std::vector<std::uint32_t> tags(
+      book.size(), make_cache_tag(QuoteTagKind::kVegaUp));
+  std::vector<Quote> out(book.size());
+
+  const auto start = std::chrono::steady_clock::now();
+  std::size_t admitted = 0;
+  EXPECT_THROW(service.price_book_blocking(
+                   book.data(), tags.data(), book.size(), out.data(),
+                   [&](std::size_t taken) {
+                     admitted = taken;
+                     throw std::runtime_error("overlap");
+                   }),
+               std::runtime_error);
+  EXPECT_GE(std::chrono::steady_clock::now() - start, kStall);
+  EXPECT_EQ(admitted, book.size());
+  const service::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.requests_submitted, book.size());
+  EXPECT_EQ(stats.requests_completed, book.size());
+  PricingAccelerator direct({Target::kFpgaKernelB, kSteps,
+                             /*compute_rmse=*/false});
+  const std::vector<double> want = direct.run(book).prices;
+  for (std::size_t i = 0; i < book.size(); ++i) {
+    EXPECT_EQ(out[i].price, want[i]) << "element " << i;
+  }
 }
 
 TEST(GreeksSweep, RejectsDegenerateRequests) {
