@@ -8,7 +8,10 @@
 // BM_CurveBookPriceInto prices the paper's 2000-call strike curve at 256
 // steps in batches of 256 at each forced width; its calls come in strike
 // order, so whole lane groups share a zero region, and skipped_share is
-// the fraction of node updates the sweep skipped. All report time per
+// the fraction of node updates the sweep skipped. exercise_free_share is
+// the fraction of the curve's lanes the exercise-free guard admits (the
+// sweep's four-op loop). BM_CurvePutBookPriceInto prices the same curve as
+// American puts, which keep the seven-op loop. All report time per
 // lattice node and per option; widths the CPU lacks are skipped.
 #include <benchmark/benchmark.h>
 
@@ -16,6 +19,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "finance/binomial.h"
 #include "finance/binomial_batch.h"
 #include "finance/greeks.h"
 #include "finance/workload.h"
@@ -92,8 +96,9 @@ void BM_BatchPriceInto(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchPriceInto)->Arg(0)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
 
-/// Arg: the forced set_simd_override lane count (0 = scalar).
-void BM_CurveBookPriceInto(benchmark::State& state) {
+/// Prices the 2000-option strike curve at 256 steps, as `type` options,
+/// in batches of 256 at the forced width state.range(0) (0 = scalar).
+void price_curve_book(benchmark::State& state, finance::OptionType type) {
   constexpr std::size_t kCurve = 2000;
   constexpr std::size_t kCurveSteps = 256;
   constexpr std::size_t kBatch = 256;
@@ -103,8 +108,16 @@ void BM_CurveBookPriceInto(benchmark::State& state) {
     return;
   }
   finance::BatchPricer::set_simd_override(lanes);
-  const std::vector<finance::OptionSpec> book =
-      finance::make_curve_batch(kCurve);
+  std::vector<finance::OptionSpec> book = finance::make_curve_batch(kCurve);
+  std::size_t exercise_free = 0;
+  for (finance::OptionSpec& spec : book) {
+    spec.type = type;
+    const std::vector<double> leaves =
+        finance::BinomialPricer(kCurveSteps).leaf_assets_iterative(spec);
+    exercise_free += finance::detail::early_exercise_never_wins(
+        spec, finance::LatticeParams::from(spec, kCurveSteps).discount,
+        kCurveSteps, leaves.front(), leaves.back());
+  }
   std::vector<double> prices(book.size());
   finance::BatchPricer pricer(kCurveSteps);
   for (auto _ : state) {
@@ -123,8 +136,27 @@ void BM_CurveBookPriceInto(benchmark::State& state) {
                          static_cast<double>(state.iterations());
   state.counters["skipped_share"] =
       static_cast<double>(pricer.nodes_skipped()) / updates;
+  state.counters["exercise_free_share"] =
+      static_cast<double>(exercise_free) / static_cast<double>(kCurve);
+}
+
+/// The paper's curve of American calls: every lane passes the
+/// exercise-free guard, so the sweep runs its four-op loop.
+void BM_CurveBookPriceInto(benchmark::State& state) {
+  price_curve_book(state, finance::OptionType::kCall);
 }
 BENCHMARK(BM_CurveBookPriceInto)
+    ->Arg(0)
+    ->Arg(4)
+    ->Arg(8)
+    ->Unit(benchmark::kMillisecond);
+
+/// Its American-put mirror: puts may exercise early, so the sweep runs its
+/// seven-op loop.
+void BM_CurvePutBookPriceInto(benchmark::State& state) {
+  price_curve_book(state, finance::OptionType::kPut);
+}
+BENCHMARK(BM_CurvePutBookPriceInto)
     ->Arg(0)
     ->Arg(4)
     ->Arg(8)

@@ -1,6 +1,7 @@
 #include "finance/binomial_batch.h"
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <string>
@@ -55,9 +56,18 @@ std::size_t group_lanes(std::size_t width, std::size_t remaining) {
 /// derivation (and the same exceptions, e.g. p outside (0,1)) as the
 /// scalar pricer, in submission order. Put lanes get a negated spot and
 /// strike, so their assets are the call chain's exact negation and
-/// s - K is the put payoff's K - s, bit for bit.
+/// s - K is the put payoff's K - s, bit for bit. An American lane on which
+/// early exercise never wins (detail::early_exercise_never_wins) gets the
+/// European +inf exercise strike.
 void load_lanes(const OptionSpec* specs, std::size_t width, std::size_t steps,
                 ParamConvention convention, detail::LaneParams& lanes) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Relabelling pays only if it leaves no lane that may exercise, so the
+  // guard (and the leaf chain it needs) runs only when every American lane
+  // is a call with no dividend and r > 0; a group without one has nothing
+  // to relabel.
+  bool american = false;
+  bool candidates = true;
   for (std::size_t lane = 0; lane < width; ++lane) {
     const OptionSpec& spec = specs[lane];
     const LatticeParams lp = LatticeParams::from(spec, steps, convention);
@@ -65,18 +75,60 @@ void load_lanes(const OptionSpec* specs, std::size_t width, std::size_t steps,
     lanes.dt[lane] = lp.dt;
     lanes.spot[lane] = sign * spec.spot;
     lanes.strike[lane] = sign * spec.strike;
-    lanes.exercise_strike[lane] = spec.style == ExerciseStyle::kAmerican
-                                      ? lanes.strike[lane]
-                                      : std::numeric_limits<double>::infinity();
+    lanes.exercise_strike[lane] =
+        spec.style == ExerciseStyle::kAmerican ? lanes.strike[lane] : kInf;
     lanes.up[lane] = lp.up;
     lanes.down[lane] = lp.down;
     lanes.prob_up[lane] = lp.prob_up;
     lanes.prob_down[lane] = lp.prob_down;
     lanes.discount[lane] = lp.discount;
+    if (spec.style == ExerciseStyle::kAmerican) {
+      american = true;
+      candidates = candidates && spec.type == OptionType::kCall &&
+                   spec.dividend == 0.0 && spec.rate > 0.0;
+    }
+  }
+  if (!american || !candidates) return;
+  // The sweep's leaf chain, lane-inner so the lanes' multiply chains
+  // overlap: bottom[lane] ends as leaf 0, top[lane] as leaf `steps`.
+  double bottom[detail::kMaxLanes];
+  double top[detail::kMaxLanes];
+  double up2[detail::kMaxLanes];
+  for (std::size_t lane = 0; lane < width; ++lane) {
+    bottom[lane] = lanes.spot[lane];
+    up2[lane] = lanes.up[lane] * lanes.up[lane];
+  }
+  for (std::size_t i = 0; i < steps; ++i) {
+    for (std::size_t lane = 0; lane < width; ++lane) {
+      bottom[lane] *= lanes.down[lane];
+    }
+  }
+  for (std::size_t lane = 0; lane < width; ++lane) top[lane] = bottom[lane];
+  for (std::size_t i = 0; i < steps; ++i) {
+    for (std::size_t lane = 0; lane < width; ++lane) top[lane] *= up2[lane];
+  }
+  for (std::size_t lane = 0; lane < width; ++lane) {
+    if (specs[lane].style == ExerciseStyle::kAmerican &&
+        detail::early_exercise_never_wins(specs[lane], lanes.discount[lane],
+                                          steps, bottom[lane], top[lane])) {
+      lanes.exercise_strike[lane] = kInf;
+    }
   }
 }
 
 }  // namespace
+
+bool detail::early_exercise_never_wins(const OptionSpec& spec,
+                                       double discount, std::size_t steps,
+                                       double bottom, double top) {
+  // C * 2^-53 with the C = 24 of DESIGN.md §2.6.
+  constexpr double kMargin = 24.0 * 0x1p-53;
+  return spec.type == OptionType::kCall && spec.dividend == 0.0 &&
+         spec.rate > 0.0 && bottom >= std::numeric_limits<double>::min() &&
+         std::isfinite(top) &&
+         spec.strike * (1.0 - discount) >
+             kMargin * static_cast<double>(steps) * (top + spec.strike);
+}
 
 BatchPricer::BatchPricer(std::size_t steps, ParamConvention convention)
     : steps_(steps), convention_(convention) {

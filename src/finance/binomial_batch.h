@@ -31,6 +31,12 @@
 // provably the +0 the row already holds, so they only roll their asset up
 // (nodes_skipped() counts them).
 //
+// An American call with no dividend and r > 0 whose lattice passes a
+// rounding-margin guard (early_exercise_never_wins) never exercises in FP
+// either, so it gets the European +inf exercise strike, and a group of
+// only such lanes and European ones runs a four-op node loop, the
+// continuation alone, with the same bits (DESIGN.md §2.6).
+//
 // Dispatch is resolved at runtime: AVX-512F -> 8 lanes, else AVX2 -> 4
 // lanes, else scalar. BINOPT_SIMD=off (or 0, scalar) forces scalar, and
 // set_simd_override forces a width. The scalar path is the same sweep with
@@ -54,8 +60,9 @@ inline constexpr std::size_t kMaxLanes = 8;
 /// Per-lane constants for one lane group (structure of arrays; a W-lane
 /// kernel reads the first W entries). Put lanes hold -spot and -strike.
 /// `exercise_strike` is the signed strike on American lanes and +inf on
-/// European ones. `dt` is not read by the kernels, only by the front
-/// formulas.
+/// European ones and on American calls early_exercise_never_wins admits;
+/// a group whose every lane holds +inf runs the four-op loop. `dt` is not
+/// read by the kernels, only by the front formulas.
 struct alignas(64) LaneParams {
   double dt[kMaxLanes];
   double spot[kMaxLanes];
@@ -92,6 +99,16 @@ std::size_t sweep4_avx2(const LaneParams& lanes, std::size_t steps,
                         double* assets, double* values, double* out,
                         double* rows);
 
+/// The exercise-free guard of DESIGN.md §2.6: true when `spec` is a call
+/// with no dividend and r > 0 whose lattice at `steps` steps (per-step
+/// `discount`, computed leaf assets `bottom` at k = 0 and `top` at
+/// k = steps) keeps every asset normal and finite and satisfies
+/// K*(1 - disc) > 24 * steps * 2^-53 * (top + K). On such a lane the
+/// sweep's max(a - K, c) returns c at every node, so an American lane may
+/// carry exercise_strike = +inf bit for bit.
+bool early_exercise_never_wins(const OptionSpec& spec, double discount,
+                               std::size_t steps, double bottom, double top);
+
 }  // namespace detail
 
 class BatchPricer {
@@ -105,12 +122,14 @@ public:
   /// Prices specs[0..n) into out[0..n); every price is bit-identical to
   /// BinomialPricer(steps).price(specs[i]). Groups of simd_width() lanes
   /// first, then (8-lane dispatch) one 4-lane group if at least 4 remain,
-  /// then scalar. Scratch is reused across calls, so steady-state
+  /// then scalar. A group none of whose lanes can exercise early (European
+  /// lanes and admitted American calls) runs the four-op loop, any other
+  /// the seven-op one. Scratch is reused across calls, so steady-state
   /// invocations perform no heap allocation.
   void price_into(const OptionSpec* specs, std::size_t n, double* out);
 
-  /// Lattice fronts of specs[0..n) into out[0..n), grouped like
-  /// price_into; every field is bit-identical to
+  /// Lattice fronts of specs[0..n) into out[0..n), grouped and looped
+  /// like price_into; every field is bit-identical to
   /// lattice_front_greeks(specs[i], steps()) (for the standard CRR
   /// convention). Needs steps() >= 2; allocates nothing.
   void fronts_into(const OptionSpec* specs, std::size_t n, LatticeFront* out);

@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 
 #include "finance/binomial_batch.h"
 
@@ -45,6 +46,85 @@ inline bool zero_row(const double* row) {
   return true;
 }
 
+/// Backward induction from the leaf level down to level 0, one rolling row
+/// of lane-interleaved assets and values; returns the node rows it skipped.
+/// `zero_rows` is the leaf level's zero region (rows +0 in every lane, at
+/// the bottom for an all-call group, at the top for an all-put group).
+///
+/// kExercise = true is the seven-op loop: per node, asset roll-up first,
+/// then discount * (p*V_up + q*V_down) with the products rounded before the
+/// add (no FMA), then the early-exercise max against the exercise strike
+/// (+inf on lanes that never exercise, so the max returns the continuation
+/// there) — the scalar rolling-array loop's order of operations exactly.
+/// kExercise = false is the four-op loop for a group whose every exercise
+/// strike is +inf: the max would return the continuation at every node, so
+/// it stores the continuation and rolls no asset row except the three the
+/// front capture reads (DESIGN.md §2.6).
+template <class Ops, bool kExercise>
+std::size_t induction(const LaneParams& lanes, std::size_t steps, bool calls,
+                      std::size_t zero_rows, double* assets, double* values,
+                      double* rows) {
+  constexpr std::size_t W = Ops::kLanes;
+  using V = typename Ops::V;
+  const V up = Ops::load(lanes.up);
+  const V prob_up = Ops::load(lanes.prob_up);
+  const V prob_down = Ops::load(lanes.prob_down);
+  const V discount = Ops::load(lanes.discount);
+  const V exercise_strike = Ops::load(lanes.exercise_strike);
+  const auto roll_assets = [&](std::size_t from, std::size_t to) {
+    for (std::size_t k = from; k < to; ++k) {
+      Ops::store(assets + W * k, Ops::mul(Ops::load(assets + W * k), up));
+    }
+  };
+
+  std::size_t skipped = 0;
+  for (std::size_t t = steps; t-- > 0;) {
+    // A node is in the region when both its children were, so each level's
+    // region is one row shorter.
+    zero_rows = zero_rows > 0 ? zero_rows - 1 : 0;
+    if constexpr (kExercise) {
+      // Assets are monotone in k, so the edge node (top for calls, bottom
+      // for puts) holds the region's largest asset: if a > Kx there in any
+      // lane, the whole level is computed.
+      if (zero_rows > 0) {
+        const std::size_t edge = calls ? zero_rows - 1 : t + 1 - zero_rows;
+        const V a = Ops::mul(Ops::load(assets + W * edge), up);
+        if (!Ops::none_greater(a, exercise_strike)) zero_rows = 0;
+      }
+    }
+    skipped += zero_rows;
+    // Nodes [first, last) are computed; the rest are the region.
+    const std::size_t first = calls ? zero_rows : 0;
+    const std::size_t last = t + 1 - (calls ? 0 : zero_rows);
+    if constexpr (kExercise) roll_assets(0, first);
+    for (std::size_t k = first; k < last; ++k) {
+      const V continuation = Ops::mul(
+          discount,
+          Ops::add(Ops::mul(prob_up, Ops::load(values + W * (k + 1))),
+                   Ops::mul(prob_down, Ops::load(values + W * k))));
+      if constexpr (kExercise) {
+        const V a = Ops::mul(Ops::load(assets + W * k), up);
+        Ops::store(assets + W * k, a);
+        Ops::store(values + W * k,
+                   Ops::max(Ops::sub(a, exercise_strike), continuation));
+      } else {
+        Ops::store(values + W * k, continuation);
+      }
+    }
+    if constexpr (kExercise) {
+      roll_assets(last, t + 1);
+    } else if (rows != nullptr) {
+      // The same multiply chain per row as the full roll: leaf k times up
+      // once per level.
+      roll_assets(0, t + 1 < 3 ? t + 1 : 3);
+    }
+    if (rows != nullptr && (t == 2 || t == 1)) {
+      capture_level<W>(t, assets, values, rows);
+    }
+  }
+  return skipped;
+}
+
 /// Prices kLanes options through one sweep into out[0..kLanes) and returns
 /// the node rows it skipped (one row is one node in each of the kLanes
 /// lanes). `assets` and `values` are lane-interleaved scratch of
@@ -58,16 +138,12 @@ std::size_t lattice_sweep(const LaneParams& lanes, std::size_t steps,
                           double* rows) {
   constexpr std::size_t W = Ops::kLanes;
   using V = typename Ops::V;
-  const V up = Ops::load(lanes.up);
-  const V prob_up = Ops::load(lanes.prob_up);
-  const V prob_down = Ops::load(lanes.prob_down);
-  const V discount = Ops::load(lanes.discount);
-  const V exercise_strike = Ops::load(lanes.exercise_strike);
 
   // Leaves by iterated multiplication — the same multiply chain, in the
   // same order, as BinomialPricer::leaf_assets_iterative, one option per
   // lane — and their payoff max(s - K, 0) with the signed strike.
   {
+    const V up = Ops::load(lanes.up);
     const V down = Ops::load(lanes.down);
     const V strike = Ops::load(lanes.strike);
     const V zero = Ops::zero();
@@ -89,12 +165,16 @@ std::size_t lattice_sweep(const LaneParams& lanes, std::size_t steps,
   // assets are negated, so they fall with k). A mixed group has none.
   // Inside it a node's children are both +0, so its continuation is +0 and
   // its value max(a - Kx, +0) is the +0 it already holds unless a > Kx
-  // (DESIGN.md §2.6); the node only rolls its asset up.
+  // (DESIGN.md §2.6); the node only rolls its asset up, or, in the four-op
+  // loop, is not touched at all.
   bool calls = true;
   bool puts = true;
+  bool exercise = false;
   for (std::size_t lane = 0; lane < W; ++lane) {
     calls = calls && lanes.spot[lane] > 0.0;
     puts = puts && lanes.spot[lane] < 0.0;
+    exercise = exercise || lanes.exercise_strike[lane] !=
+                               std::numeric_limits<double>::infinity();
   }
   std::size_t zero_rows = 0;
   if (calls || puts) {
@@ -104,50 +184,13 @@ std::size_t lattice_sweep(const LaneParams& lanes, std::size_t steps,
       ++zero_rows;
     }
   }
-  std::size_t skipped = 0;
-  const auto roll_assets = [&](std::size_t from, std::size_t to) {
-    for (std::size_t k = from; k < to; ++k) {
-      Ops::store(assets + W * k, Ops::mul(Ops::load(assets + W * k), up));
-    }
-  };
-
-  // Backward induction, seven ops per node and no lane selects. Order of
-  // operations per lane matches the scalar rolling-array loop exactly:
-  // asset roll-up first, then discount * (p*V_up + q*V_down) with the
-  // products rounded before the add (no FMA), then the early-exercise max
-  // against the exercise strike (+inf on European lanes, so the max
-  // always returns the continuation there).
-  for (std::size_t t = steps; t-- > 0;) {
-    // A node is in the region when both its children were, so each level's
-    // region is one row shorter. Assets are monotone in k, so the edge
-    // node (top for calls, bottom for puts) holds the region's largest
-    // asset: if a > Kx there in any lane, the whole level is computed.
-    zero_rows = zero_rows > 0 ? zero_rows - 1 : 0;
-    if (zero_rows > 0) {
-      const std::size_t edge = calls ? zero_rows - 1 : t + 1 - zero_rows;
-      const V a = Ops::mul(Ops::load(assets + W * edge), up);
-      if (!Ops::none_greater(a, exercise_strike)) zero_rows = 0;
-    }
-    skipped += zero_rows;
-    // Nodes [first, last) are computed; the rest are the region.
-    const std::size_t first = calls ? zero_rows : 0;
-    const std::size_t last = t + 1 - (calls ? 0 : zero_rows);
-    roll_assets(0, first);
-    for (std::size_t k = first; k < last; ++k) {
-      const V a = Ops::mul(Ops::load(assets + W * k), up);
-      Ops::store(assets + W * k, a);
-      const V continuation = Ops::mul(
-          discount,
-          Ops::add(Ops::mul(prob_up, Ops::load(values + W * (k + 1))),
-                   Ops::mul(prob_down, Ops::load(values + W * k))));
-      Ops::store(values + W * k,
-                 Ops::max(Ops::sub(a, exercise_strike), continuation));
-    }
-    roll_assets(last, t + 1);
-    if (rows != nullptr && (t == 2 || t == 1)) {
-      capture_level<W>(t, assets, values, rows);
-    }
-  }
+  // The loop is chosen once per group: seven ops per node if any lane may
+  // exercise early, else four.
+  const std::size_t skipped =
+      exercise ? induction<Ops, true>(lanes, steps, calls, zero_rows, assets,
+                                      values, rows)
+               : induction<Ops, false>(lanes, steps, calls, zero_rows, assets,
+                                       values, rows);
   Ops::store(out, Ops::load(values));
   return skipped;
 }

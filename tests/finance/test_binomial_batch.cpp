@@ -3,8 +3,10 @@
 // and Greeks fronts bit-identical to lattice_front_greeks, across option
 // types, exercise styles, lattice depths, and every batch tail the group
 // dispatch can leave. Also covers the runtime dispatch knobs
-// (set_simd_override, BINOPT_SIMD env). Widths the host CPU lacks are
-// skipped.
+// (set_simd_override, BINOPT_SIMD env), and the exercise-free guard that
+// lets a group of calls with no dividend run the four-op loop (a census of
+// extreme specs against an independent scalar loop). Widths the host CPU
+// lacks are skipped.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "finance/binomial.h"
 #include "finance/binomial_batch.h"
 #include "finance/greeks.h"
@@ -271,6 +274,77 @@ std::vector<double> batch_prices(const std::vector<OptionSpec>& specs,
   return got;
 }
 
+/// Nodes (t < steps) at which the FP early-exercise max picks exercise
+/// over the continuation: an independent scalar copy of the rolling loop,
+/// with the reference's leaf chain and its order of operations.
+std::size_t exercise_wins(const OptionSpec& spec, std::size_t steps) {
+  const LatticeParams lp = LatticeParams::from(spec, steps);
+  std::vector<double> assets =
+      BinomialPricer(steps).leaf_assets_iterative(spec);
+  std::vector<double> values(steps + 1);
+  for (std::size_t k = 0; k <= steps; ++k) values[k] = spec.payoff(assets[k]);
+  std::size_t wins = 0;
+  for (std::size_t t = steps; t-- > 0;) {
+    for (std::size_t k = 0; k <= t; ++k) {
+      assets[k] *= lp.up;
+      const double continuation =
+          lp.discount * (lp.prob_up * values[k + 1] + lp.prob_down * values[k]);
+      const double exercise = spec.type == OptionType::kCall
+                                  ? assets[k] - spec.strike
+                                  : spec.strike - assets[k];
+      if (exercise > continuation) ++wins;
+      values[k] = exercise > continuation ? exercise : continuation;
+    }
+  }
+  return wins;
+}
+
+/// The exercise-free guard on `spec` at `steps` steps, fed the
+/// reference's own leaf chain.
+bool admitted(const OptionSpec& spec, std::size_t steps) {
+  const std::vector<double> leaves =
+      BinomialPricer(steps).leaf_assets_iterative(spec);
+  return detail::early_exercise_never_wins(
+      spec, LatticeParams::from(spec, steps).discount, steps, leaves.front(),
+      leaves.back());
+}
+
+/// 21 random American calls with no dividend: 16 + 4 + 1 at 8 lanes, so
+/// the prefix of 16 is whole groups and the full book leaves a 4-lane and
+/// a scalar tail (5 * 4 + 1 at 4 lanes).
+std::vector<OptionSpec> american_calls() {
+  return make_random_batch(21, /*seed=*/5);
+}
+
+/// American lanes on which the FP max really does pick exercise at 64 and
+/// 128 steps, each for a reason the guard refuses.
+struct RefusedLane {
+  const char* name;
+  OptionSpec spec;
+};
+
+std::vector<RefusedLane> refused_lanes() {
+  OptionSpec deep_itm_dividend;
+  deep_itm_dividend.strike = 20.0;
+  deep_itm_dividend.dividend = 0.1;
+  // All leaves in the money and no discounting: the continuation ties
+  // s - K in exact arithmetic, and rounding breaks the tie both ways.
+  OptionSpec zero_rate;
+  zero_rate.strike = 1.0;
+  zero_rate.rate = 0.0;
+  zero_rate.volatility = 0.3;
+  // r > 0, but K*(1 - disc) is far below the rounding of s - K.
+  OptionSpec tiny_rate = zero_rate;
+  tiny_rate.rate = 1e-12;
+  OptionSpec put;
+  put.strike = 140.0;
+  put.type = OptionType::kPut;
+  return {{"deep-ITM call, q > 0", deep_itm_dividend},
+          {"call, r = 0", zero_rate},
+          {"call, r = 1e-12", tiny_rate},
+          {"American put", put}};
+}
+
 TEST(BatchPricer, ScalarPathMatchesBinomialPricerBitwise) {
   OverrideGuard guard;
   BatchPricer::set_simd_override(0);  // force the scalar fallback
@@ -459,6 +533,59 @@ TEST(BatchPricer, ZeroRegionEndsWhereItsEdgeNodeWouldExercise) {
   }
 }
 
+TEST(BatchPricer, GuardCensusNeverAdmitsAnExerciseWin) {
+  // Seeded extreme specs: sigma 0.005-5, T 0.01-50, K 1e-3-1e3 x spot and
+  // r 1e-14-0.5, all log-uniform, at 2-1024 steps. On every lane the guard
+  // admits, the independent loop must find no node where the FP max picks
+  // exercise. The census is not vacuous: it admits some lanes, and some
+  // of those it refuses do exercise.
+  SplitMix64 rng(2026);
+  const auto log_uniform = [&](double lo, double hi) {
+    return std::exp(rng.uniform(std::log(lo), std::log(hi)));
+  };
+  std::size_t specs = 0;
+  std::size_t admitted_lanes = 0;
+  std::size_t refused_exercising = 0;
+  while (specs < 10000) {
+    OptionSpec spec;
+    spec.volatility = log_uniform(0.005, 5.0);
+    spec.maturity = log_uniform(0.01, 50.0);
+    spec.strike = spec.spot * log_uniform(1e-3, 1e3);
+    spec.rate = log_uniform(1e-14, 0.5);
+    const auto steps = static_cast<std::size_t>(log_uniform(2.0, 1024.0));
+    try {
+      (void)LatticeParams::from(spec, steps);
+    } catch (const PreconditionError&) {
+      continue;  // p outside (0, 1): no lattice to price
+    }
+    ++specs;
+    const std::size_t wins = exercise_wins(spec, steps);
+    if (admitted(spec, steps)) {
+      ++admitted_lanes;
+      ASSERT_EQ(wins, 0u) << "sigma " << spec.volatility << ", T "
+                          << spec.maturity << ", K " << spec.strike << ", r "
+                          << spec.rate << ", steps " << steps;
+    } else if (wins > 0) {
+      ++refused_exercising;
+    }
+  }
+  EXPECT_GT(admitted_lanes, specs / 2);
+  EXPECT_GT(refused_exercising, 0u);
+
+  // The workloads the four-op loop is for: every lane admitted.
+  for (const std::size_t steps : {64u, 128u, 256u}) {
+    SCOPED_TRACE(testing::Message() << "steps " << steps);
+    for (const OptionSpec& spec : make_curve_batch(2000)) {
+      ASSERT_TRUE(admitted(spec, steps)) << "curve strike " << spec.strike;
+    }
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+      for (const OptionSpec& spec : make_random_batch(256, seed)) {
+        ASSERT_TRUE(admitted(spec, steps)) << "random seed " << seed;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Every forced width against the scalar BinomialPricer. The parameter is
 // the set_simd_override lane count (0 = scalar).
@@ -563,6 +690,66 @@ TEST_P(BatchPricerWidth, ZeroRegionEdgesMatchBitwise) {
         batch.fronts_into(edge.book.data(), edge.book.size(), fronts.data());
         expect_fronts_bitwise(fronts, front_reference(edge.book, steps));
       }
+    }
+  }
+}
+
+TEST_P(BatchPricerWidth, AdmittedAmericanCallsMatchBitwise) {
+  // Every lane passes the guard, so each group runs the four-op loop;
+  // prices and fronts must still be the seven-op reference's bits.
+  const std::vector<OptionSpec> book = american_calls();
+  for (const std::size_t steps : {2u, 3u, 64u, 128u, 256u}) {
+    for (const OptionSpec& spec : book) ASSERT_TRUE(admitted(spec, steps));
+    const std::vector<double> want = scalar_reference(book, steps);
+    const std::vector<LatticeFront> fronts_want = front_reference(book, steps);
+    for (const std::size_t n : {std::size_t{16}, book.size()}) {
+      SCOPED_TRACE(testing::Message() << "steps " << steps << ", n " << n);
+      BatchPricer batch(steps);
+      std::vector<double> got(n);
+      batch.price_into(book.data(), n, got.data());
+      expect_bitwise_equal(got, {want.begin(), want.begin() + n});
+      std::vector<LatticeFront> fronts(n);
+      batch.fronts_into(book.data(), n, fronts.data());
+      expect_fronts_bitwise(fronts, fronts_want);
+    }
+  }
+}
+
+TEST_P(BatchPricerWidth, AllEuropeanGroupsMatchBitwise) {
+  // Calls and puts alternating, all European: every exercise strike is
+  // +inf, so every group runs the four-op loop.
+  std::vector<OptionSpec> book = mixed_batch(21);
+  for (OptionSpec& spec : book) spec.style = ExerciseStyle::kEuropean;
+  for (const std::size_t steps : {2u, 3u, 64u, 128u, 256u}) {
+    SCOPED_TRACE(testing::Message() << "steps " << steps);
+    BatchPricer batch(steps);
+    std::vector<double> got(book.size());
+    batch.price_into(book.data(), book.size(), got.data());
+    expect_bitwise_equal(got, scalar_reference(book, steps));
+    std::vector<LatticeFront> fronts(book.size());
+    batch.fronts_into(book.data(), book.size(), fronts.data());
+    expect_fronts_bitwise(fronts, front_reference(book, steps));
+  }
+}
+
+TEST_P(BatchPricerWidth, RefusedLanesKeepTheExerciseMaxBitwise) {
+  // Each refused lane at three places in a book of admitted calls: in a
+  // full group, in the 4-lane tail and as the scalar tail, so every
+  // group it joins must run the seven-op loop.
+  for (const RefusedLane& refused : refused_lanes()) {
+    for (const std::size_t steps : {64u, 128u}) {
+      SCOPED_TRACE(testing::Message() << refused.name << ", steps " << steps);
+      ASSERT_FALSE(admitted(refused.spec, steps));
+      ASSERT_GT(exercise_wins(refused.spec, steps), 0u);
+      std::vector<OptionSpec> book = american_calls();
+      for (const std::size_t at : {3u, 17u, 20u}) book[at] = refused.spec;
+      BatchPricer batch(steps);
+      std::vector<double> got(book.size());
+      batch.price_into(book.data(), book.size(), got.data());
+      expect_bitwise_equal(got, scalar_reference(book, steps));
+      std::vector<LatticeFront> fronts(book.size());
+      batch.fronts_into(book.data(), book.size(), fronts.data());
+      expect_fronts_bitwise(fronts, front_reference(book, steps));
     }
   }
 }
