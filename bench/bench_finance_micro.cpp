@@ -4,7 +4,10 @@
 // at 128 steps, its delta/gamma/theta fronts computed by one
 // BatchPricer::fronts_into pass (what GreeksService::greeks_batch_blocking
 // runs) against one scalar lattice_front_greeks per spec (the reference).
-// BM_BatchPriceInto prices the same book at each forced kernel width.
+// BM_BatchPriceInto prices the same book at each forced kernel width. Every
+// other lane of that book is a put, so both time the seven-op loop;
+// BM_CallBookPriceInto prices it as all calls (the shape of greeks_book's
+// bump legs and fronts), on the four-op loop.
 // BM_CurveBookPriceInto prices the paper's 2000-call strike curve at 256
 // steps in batches of 256 at each forced width; its calls come in strike
 // order, so whole lane groups share a zero region, and skipped_share is
@@ -75,15 +78,16 @@ void BM_LatticeFronts(benchmark::State& state) {
 }
 BENCHMARK(BM_LatticeFronts)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
-/// Arg: the forced set_simd_override lane count (0 = scalar).
-void BM_BatchPriceInto(benchmark::State& state) {
+/// Prices `book` at kSteps at the forced set_simd_override lane count
+/// state.range(0) (0 = scalar).
+void price_book(benchmark::State& state,
+                const std::vector<finance::OptionSpec>& book) {
   const int lanes = static_cast<int>(state.range(0));
   if (static_cast<std::size_t>(lanes) > finance::BatchPricer::cpu_simd_width()) {
     state.SkipWithError("the CPU lacks this kernel width");
     return;
   }
   finance::BatchPricer::set_simd_override(lanes);
-  const std::vector<finance::OptionSpec> book = mixed_book();
   std::vector<double> prices(book.size());
   finance::BatchPricer pricer(kSteps);
   for (auto _ : state) {
@@ -94,7 +98,16 @@ void BM_BatchPriceInto(benchmark::State& state) {
   finance::BatchPricer::set_simd_override(-1);
   set_node_rate(state);
 }
+
+void BM_BatchPriceInto(benchmark::State& state) {
+  price_book(state, mixed_book());
+}
 BENCHMARK(BM_BatchPriceInto)->Arg(0)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
+
+void BM_CallBookPriceInto(benchmark::State& state) {
+  price_book(state, finance::make_random_batch(kBook, /*seed=*/2026));
+}
+BENCHMARK(BM_CallBookPriceInto)->Arg(0)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
 
 /// Prices the 2000-option strike curve at 256 steps, as `type` options,
 /// in batches of 256 at the forced width state.range(0) (0 = scalar).

@@ -442,6 +442,9 @@ void PricingService::settle_blocking(const finance::OptionSpec* specs,
   sink.remaining.store(n);
   const std::size_t admitted =
       admit(specs, tags, tag_stride, n, sink, timeout, priority).admitted;
+  // Wakes a worker lingering on this book's last partial batch.
+  sink.admitted.store(true, std::memory_order_release);
+  not_empty_.notify();
   try {
     overlap(admitted);
   } catch (...) {
@@ -763,18 +766,30 @@ bool PricingService::collect_batch(Worker& self, std::vector<Request*>& out,
 
   // Micro-batching: hold a partial batch open for up to `linger` so that a
   // burst of single submits coalesces into one NDRange launch instead of
-  // many tiny ones. Stop early on a full batch or shutdown.
+  // many tiny ones. Stop early on a full batch, on shutdown, or once every
+  // request in it belongs to a blocking book that is wholly admitted:
+  // nothing more can arrive for those callers.
   if (out.size() < limit &&
       config_.linger > std::chrono::microseconds::zero() &&
       !stopping_.load(std::memory_order_acquire)) {
     const auto linger_deadline =
         std::chrono::steady_clock::now() + config_.linger;
-    while (out.size() < limit &&
+    const auto books_admitted = [&out] {
+      return std::all_of(out.begin(), out.end(), [](const Request* request) {
+        return request->sink->admitted.load(std::memory_order_acquire);
+      });
+    };
+    bool admitted = false;
+    while (!admitted && out.size() < limit &&
            !stopping_.load(std::memory_order_acquire)) {
-      if (!not_empty_.wait_until(linger_deadline, [&] {
+      // Read before the pop: a book is marked only after its last push, so
+      // the pop then takes every request of it that fits.
+      admitted = books_admitted();
+      if (!admitted && !not_empty_.wait_until(linger_deadline, [&] {
             return stopping_.load(std::memory_order_relaxed) ||
                    queue_count_.load(std::memory_order_relaxed) > 0 ||
-                   retry_ready(std::chrono::steady_clock::now());
+                   retry_ready(std::chrono::steady_clock::now()) ||
+                   books_admitted();
           })) {
         break;  // linger window expired
       }

@@ -388,6 +388,10 @@ private:
     Quote* quotes = nullptr;
     std::atomic<std::size_t> remaining{0};
     std::atomic<bool> failed{false};
+    /// Stack sinks: set (release) once admit() has taken the whole book,
+    /// so a worker lingering on a partial batch of its requests knows no
+    /// more of them can arrive. Heap sinks never set it.
+    std::atomic<bool> admitted{false};
     /// First failure; read only after the last count-down.
     std::exception_ptr error;
     /// Heap sinks: exactly one promise is engaged, and `quote` / `results`

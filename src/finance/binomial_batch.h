@@ -35,7 +35,9 @@
 // rounding-margin guard (early_exercise_never_wins) never exercises in FP
 // either, so it gets the European +inf exercise strike, and a group of
 // only such lanes and European ones runs a four-op node loop, the
-// continuation alone, with the same bits (DESIGN.md §2.6).
+// continuation alone, with the same bits (DESIGN.md §2.6). At 8 and 4
+// lanes that loop advances two levels per pass over the row, each node
+// still from the same two children in the same op order.
 //
 // Dispatch is resolved at runtime: AVX-512F -> 8 lanes, else AVX2 -> 4
 // lanes, else scalar. BINOPT_SIMD=off (or 0, scalar) forces scalar, and

@@ -9,7 +9,8 @@
 // symbol across TUs, and the linker could keep the AVX-512 copy for the
 // AVX2 or scalar caller: SIGILL on an AVX2-only host.
 //
-// An Ops struct provides, per W-lane vector V: kLanes; load/store
+// An Ops struct provides, per W-lane vector V: kLanes; kPassLevels, the
+// levels the four-op loop advances per pass (1 or 2); load/store
 // (unaligned); zero(); mul/add/sub; max with vmaxpd semantics
 // (a > b ? a : b, so b on ties and whenever either is NaN); and
 // none_greater(a, b), true when no lane has a > b (false on NaN).
@@ -60,11 +61,22 @@ inline bool zero_row(const double* row) {
 /// strike is +inf: the max would return the continuation at every node, so
 /// it stores the continuation and rolls no asset row except the three the
 /// front capture reads (DESIGN.md §2.6).
+///
+/// The four-op loop advances Ops::kPassLevels levels per pass over the row
+/// (two for the vector widths, one for scalar); the seven-op loop one. A
+/// two-level pass walks k upward: it computes level t's node k+1 from the
+/// row (still level t+1 there), keeps it in a register, computes level
+/// t-1's node k from it and level t's node k carried from the step
+/// before, and stores only that, into row k, which no later read in the
+/// pass touches. Every node keeps its two children and its op order, bit
+/// for bit. The capture levels t = 2 and t = 1 run one level at a time.
 template <class Ops, bool kExercise>
 std::size_t induction(const LaneParams& lanes, std::size_t steps, bool calls,
                       std::size_t zero_rows, double* assets, double* values,
                       double* rows) {
   constexpr std::size_t W = Ops::kLanes;
+  constexpr std::size_t kLevels = kExercise ? 1 : Ops::kPassLevels;
+  static_assert(kLevels == 1 || kLevels == 2);
   using V = typename Ops::V;
   const V up = Ops::load(lanes.up);
   const V prob_up = Ops::load(lanes.prob_up);
@@ -76,9 +88,16 @@ std::size_t induction(const LaneParams& lanes, std::size_t steps, bool calls,
       Ops::store(assets + W * k, Ops::mul(Ops::load(assets + W * k), up));
     }
   };
+  const auto continuation = [&](V value_up, V value_down) {
+    return Ops::mul(discount, Ops::add(Ops::mul(prob_up, value_up),
+                                       Ops::mul(prob_down, value_down)));
+  };
 
   std::size_t skipped = 0;
-  for (std::size_t t = steps; t-- > 0;) {
+  // Enters level t: shrinks the zero region to it, counts the region's rows
+  // as skipped, rolls the captured asset rows (four-op loop) and returns
+  // the nodes [first, last) the level computes; the rest are the region.
+  const auto enter_level = [&](std::size_t t) {
     // A node is in the region when both its children were, so each level's
     // region is one row shorter.
     zero_rows = zero_rows > 0 ? zero_rows - 1 : 0;
@@ -91,32 +110,51 @@ std::size_t induction(const LaneParams& lanes, std::size_t steps, bool calls,
         const V a = Ops::mul(Ops::load(assets + W * edge), up);
         if (!Ops::none_greater(a, exercise_strike)) zero_rows = 0;
       }
-    }
-    skipped += zero_rows;
-    // Nodes [first, last) are computed; the rest are the region.
-    const std::size_t first = calls ? zero_rows : 0;
-    const std::size_t last = t + 1 - (calls ? 0 : zero_rows);
-    if constexpr (kExercise) roll_assets(0, first);
-    for (std::size_t k = first; k < last; ++k) {
-      const V continuation = Ops::mul(
-          discount,
-          Ops::add(Ops::mul(prob_up, Ops::load(values + W * (k + 1))),
-                   Ops::mul(prob_down, Ops::load(values + W * k))));
-      if constexpr (kExercise) {
-        const V a = Ops::mul(Ops::load(assets + W * k), up);
-        Ops::store(assets + W * k, a);
-        Ops::store(values + W * k,
-                   Ops::max(Ops::sub(a, exercise_strike), continuation));
-      } else {
-        Ops::store(values + W * k, continuation);
-      }
-    }
-    if constexpr (kExercise) {
-      roll_assets(last, t + 1);
     } else if (rows != nullptr) {
       // The same multiply chain per row as the full roll: leaf k times up
       // once per level.
       roll_assets(0, t + 1 < 3 ? t + 1 : 3);
+    }
+    skipped += zero_rows;
+    struct Nodes {
+      std::size_t first;
+      std::size_t last;
+    };
+    return Nodes{calls ? zero_rows : 0, t + 1 - (calls ? 0 : zero_rows)};
+  };
+
+  for (std::size_t t = steps; t-- > 0;) {
+    if (kLevels == 2 && t > 0 && (rows == nullptr || t > 2)) {
+      // Levels t and t-1. Where level t-1's edge node has a child in level
+      // t's zero region, that child comes from two +0 rows and is +0 (the
+      // +0 algebra), the bits the one-level loop reads from its row.
+      enter_level(t);
+      const auto [first, last] = enter_level(--t);
+      V above = Ops::load(values + W * (first + 1));
+      V carried = continuation(above, Ops::load(values + W * first));
+      for (std::size_t k = first; k < last; ++k) {
+        const V row_up = Ops::load(values + W * (k + 2));
+        const V node = continuation(row_up, above);
+        Ops::store(values + W * k, continuation(node, carried));
+        above = row_up;
+        carried = node;
+      }
+    } else {
+      const auto [first, last] = enter_level(t);
+      if constexpr (kExercise) roll_assets(0, first);
+      for (std::size_t k = first; k < last; ++k) {
+        const V value = continuation(Ops::load(values + W * (k + 1)),
+                                     Ops::load(values + W * k));
+        if constexpr (kExercise) {
+          const V a = Ops::mul(Ops::load(assets + W * k), up);
+          Ops::store(assets + W * k, a);
+          Ops::store(values + W * k, Ops::max(Ops::sub(a, exercise_strike),
+                                              value));
+        } else {
+          Ops::store(values + W * k, value);
+        }
+      }
+      if constexpr (kExercise) roll_assets(last, t + 1);
     }
     if (rows != nullptr && (t == 2 || t == 1)) {
       capture_level<W>(t, assets, values, rows);

@@ -593,6 +593,36 @@ TEST(PricingService, PriceBatchBlockingRejectsInvalidSpecsUpfront) {
       ServiceRejectedError);
 }
 
+TEST(PricingService, WhollyAdmittedBookSkipsTheLinger) {
+  // Once the whole book is admitted nothing more can arrive for it, so
+  // its partial batch launches at once instead of lingering 500ms, and
+  // with all of the book in it.
+  ServiceConfig config = small_config(Target::kCpuReference);
+  config.linger = 500ms;
+  PricingService service(config);
+  const auto batch = finance::make_curve_batch(3);
+  std::vector<double> out(batch.size(), 0.0);
+  const auto start = std::chrono::steady_clock::now();
+  service.price_batch_blocking(batch.data(), batch.size(), out.data());
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 250ms);
+  EXPECT_EQ(out, direct_prices(Target::kCpuReference, batch));
+  EXPECT_EQ(service.stats().batches_launched, 1u);
+}
+
+TEST(PricingService, SingleSubmitsStillCoalesceInTheLinger) {
+  // A submit() sink is never marked admitted: the worker keeps its batch
+  // open for the next single quote.
+  ServiceConfig config = small_config(Target::kCpuReference);
+  config.linger = 200ms;
+  PricingService service(config);
+  const auto batch = finance::make_curve_batch(2);
+  auto first = service.submit(batch[0]);
+  auto second = service.submit(batch[1]);
+  EXPECT_GT(first.get().price, 0.0);
+  EXPECT_GT(second.get().price, 0.0);
+  EXPECT_EQ(service.stats().batches_launched, 1u);
+}
+
 TEST(PricingService, ShutdownMidBurstResolvesEverySubmittedFuture) {
   // 4 submitters blast 256 singles through a small-batch service, and the
   // service is destroyed while most of that burst is still queued (large

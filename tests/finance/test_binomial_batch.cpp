@@ -125,13 +125,21 @@ std::vector<OptionSpec> mixed_and_edge_batch(std::size_t count,
 
 /// Books whose lane groups are all calls or all puts at every width, so
 /// the sweep's zero region applies: the paper's 2000-call strike curve,
-/// its all-put mirror, and random all-call and all-put books (American and
-/// European alternating). Each is a multiple of 8 long.
+/// its all-put mirror as American puts (seven-op loop) and as European
+/// puts (four-op loop, region at the top), and random all-call and all-put
+/// books (American and European alternating). Each is a multiple of 8
+/// long.
 std::vector<std::vector<OptionSpec>> homogeneous_books() {
   std::vector<std::vector<OptionSpec>> books;
   books.push_back(make_curve_batch());
-  books.push_back(make_curve_batch());
-  for (OptionSpec& spec : books.back()) spec.type = OptionType::kPut;
+  for (const ExerciseStyle style :
+       {ExerciseStyle::kAmerican, ExerciseStyle::kEuropean}) {
+    books.push_back(make_curve_batch());
+    for (OptionSpec& spec : books.back()) {
+      spec.type = OptionType::kPut;
+      spec.style = style;
+    }
+  }
   for (const OptionType type : {OptionType::kCall, OptionType::kPut}) {
     WorkloadConfig config;
     config.type = type;
@@ -590,6 +598,11 @@ TEST(BatchPricer, GuardCensusNeverAdmitsAnExerciseWin) {
 // Every forced width against the scalar BinomialPricer. The parameter is
 // the set_simd_override lane count (0 = scalar).
 
+/// Depths for the four-op loop's two-level passes: odd level counts leave
+/// a one-level remainder (5, 7, 127); 4 and 5 end a pass at the capture
+/// level t = 2, and 64 and 256 run zero regions that empty inside a pass.
+constexpr std::size_t kPassSteps[] = {2, 3, 4, 5, 7, 64, 127, 128, 256};
+
 class BatchPricerWidth : public ::testing::TestWithParam<int> {
 protected:
   void SetUp() override {
@@ -640,7 +653,7 @@ TEST_P(BatchPricerWidth, HomogeneousBooksSkipZeroNodesBitwise) {
   // must leave every price and front bit-identical. n = size - 3 leaves a
   // 4-lane and a scalar tail at 8 lanes.
   const auto books = homogeneous_books();
-  for (const std::size_t steps : {2u, 3u, 64u, 256u}) {
+  for (const std::size_t steps : kPassSteps) {
     for (std::size_t b = 0; b < books.size(); ++b) {
       const std::vector<OptionSpec>& book = books[b];
       const std::vector<double> want = scalar_reference(book, steps);
@@ -655,8 +668,8 @@ TEST_P(BatchPricerWidth, HomogeneousBooksSkipZeroNodesBitwise) {
         std::vector<double> got(n);
         batch.price_into(book.data(), n, got.data());
         expect_bitwise_equal(got, {want.begin(), want.begin() + n});
-        // Two or three steps are too few for all 8 random lanes to share
-        // a zero leaf.
+        // Under 64 steps too few leaves for all 8 random lanes to share a
+        // zero leaf.
         if (steps >= 64) {
           EXPECT_GT(batch.nodes_skipped(), 0u);
         }
@@ -698,7 +711,7 @@ TEST_P(BatchPricerWidth, AdmittedAmericanCallsMatchBitwise) {
   // Every lane passes the guard, so each group runs the four-op loop;
   // prices and fronts must still be the seven-op reference's bits.
   const std::vector<OptionSpec> book = american_calls();
-  for (const std::size_t steps : {2u, 3u, 64u, 128u, 256u}) {
+  for (const std::size_t steps : kPassSteps) {
     for (const OptionSpec& spec : book) ASSERT_TRUE(admitted(spec, steps));
     const std::vector<double> want = scalar_reference(book, steps);
     const std::vector<LatticeFront> fronts_want = front_reference(book, steps);
@@ -720,7 +733,7 @@ TEST_P(BatchPricerWidth, AllEuropeanGroupsMatchBitwise) {
   // +inf, so every group runs the four-op loop.
   std::vector<OptionSpec> book = mixed_batch(21);
   for (OptionSpec& spec : book) spec.style = ExerciseStyle::kEuropean;
-  for (const std::size_t steps : {2u, 3u, 64u, 128u, 256u}) {
+  for (const std::size_t steps : kPassSteps) {
     SCOPED_TRACE(testing::Message() << "steps " << steps);
     BatchPricer batch(steps);
     std::vector<double> got(book.size());
@@ -781,6 +794,39 @@ TEST(BatchPricer, MixedLaneGroupsSkipNothing) {
     batch.fronts_into(specs.data(), specs.size(), fronts.data());
     expect_fronts_bitwise(fronts, front_reference(specs, 64));
     EXPECT_EQ(batch.nodes_skipped(), 0u);
+  }
+}
+
+TEST(BatchPricer, IdenticalLanesSkipTheSameNodesAtEveryWidth) {
+  // Eight copies of one OTM American call: every group shares each lane's
+  // own zero region, so a skipped row of W lanes is W skipped nodes and
+  // the count is the same at every width, one or two levels per pass.
+  OptionSpec spec;
+  spec.strike = 120.0;
+  spec.style = ExerciseStyle::kAmerican;
+  const std::vector<OptionSpec> book(8, spec);
+  OverrideGuard guard;
+  for (const std::size_t steps : {65u, 256u}) {
+    SCOPED_TRACE(testing::Message() << "steps " << steps);
+    ASSERT_TRUE(admitted(spec, steps));
+    const std::vector<double> want = scalar_reference(book, steps);
+    std::size_t scalar_skipped = 0;
+    for (const int lanes : {0, 4, 8}) {
+      if (static_cast<std::size_t>(lanes) > BatchPricer::cpu_simd_width()) {
+        break;
+      }
+      BatchPricer::set_simd_override(lanes);
+      SCOPED_TRACE(testing::Message() << lanes << " lanes");
+      BatchPricer batch(steps);
+      std::vector<double> got(book.size());
+      batch.price_into(book.data(), book.size(), got.data());
+      expect_bitwise_equal(got, want);
+      if (lanes == 0) {
+        scalar_skipped = batch.nodes_skipped();
+        EXPECT_GT(scalar_skipped, 0u);
+      }
+      EXPECT_EQ(batch.nodes_skipped(), scalar_skipped);
+    }
   }
 }
 
