@@ -779,12 +779,11 @@ bool PricingService::collect_batch(Worker& self, std::vector<Request*>& out,
         return request->sink->admitted.load(std::memory_order_acquire);
       });
     };
-    bool admitted = false;
-    while (!admitted && out.size() < limit &&
-           !stopping_.load(std::memory_order_acquire)) {
+    for (;;) {
       // Read before the pop: a book is marked only after its last push, so
-      // the pop then takes every request of it that fits.
-      admitted = books_admitted();
+      // once the mark reads true, one more pop takes every request of it
+      // that fits and the batch closes.
+      const bool admitted = books_admitted();
       if (!admitted && !not_empty_.wait_until(linger_deadline, [&] {
             return stopping_.load(std::memory_order_relaxed) ||
                    queue_count_.load(std::memory_order_relaxed) > 0 ||
@@ -795,6 +794,10 @@ bool PricingService::collect_batch(Worker& self, std::vector<Request*>& out,
       }
       pop_available(std::chrono::steady_clock::now(), out, limit, self,
                     probing);
+      if (admitted || out.size() >= limit ||
+          stopping_.load(std::memory_order_acquire)) {
+        break;
+      }
     }
   }
   publish_in_flight(self.index, out.size());

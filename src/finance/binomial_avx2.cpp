@@ -23,7 +23,6 @@ namespace {
 
 struct Avx2Ops {
   static constexpr std::size_t kLanes = 4;
-  static constexpr std::size_t kPassLevels = 2;
   using V = __m256d;
 
   static V load(const double* p) { return _mm256_loadu_pd(p); }

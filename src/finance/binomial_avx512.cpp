@@ -26,7 +26,6 @@ namespace {
 
 struct Avx512Ops {
   static constexpr std::size_t kLanes = 8;
-  static constexpr std::size_t kPassLevels = 2;
   using V = __m512d;
 
   static V load(const double* p) { return _mm512_loadu_pd(p); }

@@ -20,9 +20,6 @@ std::atomic<int> g_simd_override{-1};
 /// The scalar lane ops: one option per "vector".
 struct ScalarOps {
   static constexpr std::size_t kLanes = 1;
-  /// One level per pass: GCC vectorises the one-level loop across nodes,
-  /// not a two-level pass's carried node (DESIGN.md §2.6).
-  static constexpr std::size_t kPassLevels = 1;
   using V = double;
 
   static V load(const double* p) { return *p; }

@@ -9,8 +9,7 @@
 // symbol across TUs, and the linker could keep the AVX-512 copy for the
 // AVX2 or scalar caller: SIGILL on an AVX2-only host.
 //
-// An Ops struct provides, per W-lane vector V: kLanes; kPassLevels, the
-// levels the four-op loop advances per pass (1 or 2); load/store
+// An Ops struct provides, per W-lane vector V: kLanes; load/store
 // (unaligned); zero(); mul/add/sub; max with vmaxpd semantics
 // (a > b ? a : b, so b on ties and whenever either is NaN); and
 // none_greater(a, b), true when no lane has a > b (false on NaN).
@@ -62,8 +61,8 @@ inline bool zero_row(const double* row) {
 /// it stores the continuation and rolls no asset row except the three the
 /// front capture reads (DESIGN.md §2.6).
 ///
-/// The four-op loop advances Ops::kPassLevels levels per pass over the row
-/// (two for the vector widths, one for scalar); the seven-op loop one. A
+/// The four-op loop advances two levels per pass over the row at the
+/// vector widths, one at scalar; the seven-op loop always one. A
 /// two-level pass walks k upward: it computes level t's node k+1 from the
 /// row (still level t+1 there), keeps it in a register, computes level
 /// t-1's node k from it and level t's node k carried from the step
@@ -75,8 +74,9 @@ std::size_t induction(const LaneParams& lanes, std::size_t steps, bool calls,
                       std::size_t zero_rows, double* assets, double* values,
                       double* rows) {
   constexpr std::size_t W = Ops::kLanes;
-  constexpr std::size_t kLevels = kExercise ? 1 : Ops::kPassLevels;
-  static_assert(kLevels == 1 || kLevels == 2);
+  // Levels per pass. Scalar keeps one: GCC vectorises the one-level loop
+  // across nodes, not a two-level pass's carried node (DESIGN.md §2.6).
+  constexpr std::size_t kLevels = (kExercise || W == 1) ? 1 : 2;
   using V = typename Ops::V;
   const V up = Ops::load(lanes.up);
   const V prob_up = Ops::load(lanes.prob_up);
