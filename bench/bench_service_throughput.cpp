@@ -28,9 +28,12 @@
 //   --mode bursty: the market-open spike. N submitter threads (default 8)
 //   all blast the curve through price_batch_blocking at once, then trickle
 //   requests through a quiet tail — the arrival pattern the lock-free hot
-//   path (DESIGN.md §2.6) was built for. Reports spike options/s and
-//   p50/p99/p999 request latency, and the spike throughput as a fraction
-//   of the direct batch run's (speedup_vs_baseline in the JSON row).
+//   path (DESIGN.md §2.6) was built for. Reports spike options/s,
+//   p50/p99/p999 request latency from the service's histogram (bucket
+//   bounds, 2x apart), the exact p50/p99 of every blocking call as its
+//   caller timed it (call_p50_ms/call_p99_ms in the JSON row), and the
+//   spike throughput as a fraction of the direct batch run's
+//   (speedup_vs_baseline).
 //
 //   --mode soak: the overload soak (DESIGN.md §2.10). First measures the
 //   service's uncontended capacity with a closed loop, then sweeps
@@ -108,10 +111,20 @@ std::string format_row(const char* fmt, ...) {
   return buffer;
 }
 
+std::uint64_t percentile_ns(std::vector<std::uint64_t> values, double pct) {
+  if (values.empty()) return 0;
+  const auto rank = static_cast<std::size_t>(
+      pct / 100.0 * static_cast<double>(values.size() - 1));
+  std::nth_element(values.begin(), values.begin() + rank, values.end());
+  return values[rank];
+}
+
 /// One measured bursty run.
 struct BurstyOutcome {
   double spike_ops = 0.0;  ///< best-of-reps spike throughput
   core::service::ServiceStats stats;  ///< merged across reps
+  /// Wall time of every blocking call, as its caller saw it, all reps.
+  std::vector<std::uint64_t> call_ns;
   std::size_t mismatches = 0;
 };
 
@@ -129,6 +142,15 @@ BurstyOutcome run_bursty(const core::ServiceConfig& config,
 
   BurstyOutcome outcome;
   std::atomic<std::size_t> mismatches{0};
+  // Per-submitter call timings, reserved up front so timing a call never
+  // allocates inside the measured window.
+  const std::size_t calls_per_submitter =
+      (curve.size() + kSpikeChunk - 1) / kSpikeChunk +
+      kQuietChunksPerSubmitter;
+  std::vector<std::vector<std::uint64_t>> call_ns(submitters);
+  for (auto& calls : call_ns) calls.reserve(calls_per_submitter);
+  outcome.call_ns.reserve(static_cast<std::size_t>(reps) * submitters *
+                          calls_per_submitter);
   for (int rep = 0; rep < reps; ++rep) {
     core::PricingService service(config);
     std::atomic<std::size_t> ready{0};
@@ -139,12 +161,21 @@ BurstyOutcome run_bursty(const core::ServiceConfig& config,
     for (std::size_t sub = 0; sub < submitters; ++sub) {
       threads.emplace_back([&, sub] {
         std::vector<double> out(kSpikeChunk);
+        std::vector<std::uint64_t>& calls = call_ns[sub];
+        const auto timed_call = [&](std::size_t base, std::size_t n) {
+          const auto call_start = Clock::now();
+          service.price_batch_blocking(curve.data() + base, n, out.data());
+          calls.push_back(static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  Clock::now() - call_start)
+                  .count()));
+        };
         ready.fetch_add(1);
         while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
         // Spike: the whole curve, as fast as the service admits it.
         for (std::size_t base = 0; base < curve.size(); base += kSpikeChunk) {
           const std::size_t n = std::min(kSpikeChunk, curve.size() - base);
-          service.price_batch_blocking(curve.data() + base, n, out.data());
+          timed_call(base, n);
           for (std::size_t i = 0; i < n; ++i) {
             if (out[i] != reference[base + i]) mismatches.fetch_add(1);
           }
@@ -155,8 +186,7 @@ BurstyOutcome run_bursty(const core::ServiceConfig& config,
           const std::size_t base =
               ((sub + 1) * 97 + static_cast<std::size_t>(chunk) * kQuietChunk) %
               (curve.size() - kQuietChunk);
-          service.price_batch_blocking(curve.data() + base, kQuietChunk,
-                                       out.data());
+          timed_call(base, kQuietChunk);
           for (std::size_t i = 0; i < kQuietChunk; ++i) {
             if (out[i] != reference[base + i]) mismatches.fetch_add(1);
           }
@@ -177,6 +207,11 @@ BurstyOutcome run_bursty(const core::ServiceConfig& config,
         static_cast<double>(submitters * curve.size()) / spike_s;
     outcome.spike_ops = std::max(outcome.spike_ops, ops);
     outcome.stats += service.stats();
+    for (auto& calls : call_ns) {
+      outcome.call_ns.insert(outcome.call_ns.end(), calls.begin(),
+                             calls.end());
+      calls.clear();
+    }
   }
   outcome.mismatches = mismatches.load();
   return outcome;
@@ -321,14 +356,6 @@ struct SoakPoint {
   std::array<SoakTally, core::kPriorityCount> per_class;
   core::service::ServiceStats stats;
 };
-
-std::uint64_t percentile_ns(std::vector<std::uint64_t> values, double pct) {
-  if (values.empty()) return 0;
-  const auto rank = static_cast<std::size_t>(
-      pct / 100.0 * static_cast<double>(values.size() - 1));
-  std::nth_element(values.begin(), values.begin() + rank, values.end());
-  return values[rank];
-}
 
 /// Uncontended capacity probe: one closed-loop pass of the curve per
 /// submitter through a service with the overload layer disarmed — the raw
@@ -1059,10 +1086,17 @@ int main(int argc, char** argv) {
     const double vs_direct = run.spike_ops / direct_ops;
     std::printf("direct batch run       : %10.1f options/s (%.3f s)\n",
                 direct_ops, direct_s);
+    const double call_p50_ms =
+        static_cast<double>(percentile_ns(run.call_ns, 50.0)) / 1e6;
+    const double call_p99_ms =
+        static_cast<double>(percentile_ns(run.call_ns, 99.0)) / 1e6;
     std::printf("service spike          : %10.1f options/s | latency p50 "
                 "%.3f ms, p99 %.3f ms, p999 %.3f ms\n",
                 run.spike_ops, latency.p50() / 1e6, latency.p99() / 1e6,
                 latency.p999() / 1e6);
+    std::printf("blocking call (exact)  : p50 %.3f ms, p99 %.3f ms over %zu "
+                "calls\n",
+                call_p50_ms, call_p99_ms, run.call_ns.size());
     const std::size_t simd_lanes = finance::BatchPricer::simd_width();
     std::printf("spike vs direct run    : %10.2fx (simd %zu lanes)\n\n",
                 vs_direct, simd_lanes);
@@ -1074,10 +1108,12 @@ int main(int argc, char** argv) {
         "\"options_per_second\":%.1f,\"speedup_vs_baseline\":%.3f,"
         "\"direct_options_per_second\":%.1f,"
         "\"latency_p50_ms\":%.4f,\"latency_p99_ms\":%.4f,"
-        "\"latency_p999_ms\":%.4f}",
+        "\"latency_p999_ms\":%.4f,\"call_p50_ms\":%.4f,"
+        "\"call_p99_ms\":%.4f}",
         core::to_string(target).c_str(), num_options, steps, workers,
         submitters, reps, simd_lanes, run.spike_ops, vs_direct, direct_ops,
-        latency.p50() / 1e6, latency.p99() / 1e6, latency.p999() / 1e6);
+        latency.p50() / 1e6, latency.p99() / 1e6, latency.p999() / 1e6,
+        call_p50_ms, call_p99_ms);
     emit_json(row, json_out);
 
     if (run.mismatches != 0) {

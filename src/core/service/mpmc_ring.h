@@ -140,10 +140,15 @@ private:
   alignas(64) std::atomic<std::uint64_t> dequeue_pos_{0};
 };
 
-/// Sleep/wake gate for the lock-free hot path: threads that find the ring
-/// full (producers) or empty (consumers) park here; the opposite side only
-/// pays for a notification when someone is actually parked (one atomic
-/// load on the fast path, no mutex).
+/// Sleep/wake gate for the lock-free hot path. It plays two roles. As a
+/// level gate, threads that find the ring full (producers) or empty
+/// (consumers) park on it until that changes. As an event gate, a worker
+/// lingering on a partial batch parks on its own instance, which is
+/// notified only for the events that can end the linger early (a batch
+/// the ring can fill, a marked book, a requeue, shutdown), so arrivals
+/// that cannot fill the batch wake nobody. Either way the notifying side
+/// only pays for a notification when someone is actually parked (one
+/// atomic load on the fast path, no mutex).
 ///
 /// Waits are always bounded (callers pass a deadline and loop on their own
 /// predicate), so the one theoretically lost wakeup a relaxed design could
@@ -159,19 +164,30 @@ public:
       // Taking the mutex orders this notify after a racing waiter's
       // registration: it either sees the predicate or the notification.
       const std::lock_guard<std::mutex> lock(mutex_);
+      ++notifies_;
     }
     cv_.notify_all();
   }
 
   /// Park until `pred()` holds or `deadline` passes. Returns pred()'s
   /// final value. The predicate is evaluated with the gate mutex held but
-  /// must only read lock-free state (ring cursors, atomic flags).
+  /// must only read lock-free state (ring cursors, atomic flags). When
+  /// `lost` is given, it is set to whether the wait ran to `deadline` and
+  /// then found `pred()` true although no notify() reached the gate in
+  /// the meantime: a lost wake-up that only the deadline recovered.
   template <typename Pred>
   bool wait_until(std::chrono::steady_clock::time_point deadline,
-                  Pred&& pred) {
+                  Pred&& pred, bool* lost = nullptr) {
     std::unique_lock<std::mutex> lock(mutex_);
     waiters_.fetch_add(1, std::memory_order_seq_cst);
-    const bool satisfied = cv_.wait_until(lock, deadline, pred);
+    const std::uint64_t seen = notifies_;
+    bool timed_out = false;
+    bool satisfied = pred();
+    while (!satisfied && !timed_out) {
+      timed_out = cv_.wait_until(lock, deadline) == std::cv_status::timeout;
+      satisfied = pred();
+    }
+    if (lost != nullptr) *lost = timed_out && satisfied && notifies_ == seen;
     waiters_.fetch_sub(1, std::memory_order_relaxed);
     return satisfied;
   }
@@ -180,6 +196,7 @@ private:
   std::mutex mutex_;
   std::condition_variable cv_;
   std::atomic<int> waiters_{0};
+  std::uint64_t notifies_ = 0;  ///< guarded by mutex_
 };
 
 }  // namespace binopt::core::service

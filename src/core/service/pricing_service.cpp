@@ -36,6 +36,20 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point from,
 /// one can delay progress.
 constexpr std::chrono::milliseconds kIdleNap{2};
 constexpr std::chrono::milliseconds kBackpressureNap{1};
+
+/// Parks on `gate` until `pred` holds or `wake` passes. A wait that ran to
+/// `nap_end`, its safety-net bound, and only then found `pred` true with no
+/// notify on the way lost its wake-up; it is counted in `rescues`.
+template <typename Pred>
+void nap_until(service::EventGate& gate,
+               std::chrono::steady_clock::time_point wake,
+               std::chrono::steady_clock::time_point nap_end,
+               std::atomic<std::uint64_t>& rescues, Pred&& pred) {
+  bool lost = false;
+  gate.wait_until(wake, std::forward<Pred>(pred), &lost);
+  if (lost && wake == nap_end) rescues.fetch_add(1, std::memory_order_relaxed);
+}
+
 /// Armed EDF collection weighs this many queued requests per free batch
 /// slot (DESIGN.md §2.10).
 constexpr std::size_t kEdfWindow = 4;
@@ -192,12 +206,14 @@ PricingService::~PricingService() {
   stopping_.store(true, std::memory_order_release);
   not_empty_.notify();
   not_full_.notify();
+  linger_gate_.notify();
   placement_changed_.notify();
   // Let every submitter leave admission first (blocked ones wake, see
   // stopping_, and bail), so no push can race the workers' final drain.
   while (admissions_in_flight_.load(std::memory_order_acquire) > 0) {
     not_full_.notify();
     not_empty_.notify();
+    linger_gate_.notify();
     std::this_thread::sleep_for(std::chrono::microseconds{50});
   }
   for (auto& worker : workers_) {
@@ -444,7 +460,7 @@ void PricingService::settle_blocking(const finance::OptionSpec* specs,
       admit(specs, tags, tag_stride, n, sink, timeout, priority).admitted;
   // Wakes a worker lingering on this book's last partial batch.
   sink.admitted.store(true, std::memory_order_release);
-  not_empty_.notify();
+  linger_gate_.notify();
   try {
     overlap(admitted);
   } catch (...) {
@@ -588,7 +604,7 @@ PricingService::AdmitOutcome PricingService::admit_one(Request* request) {
       // doomed wait ends on time instead of at the next nap boundary.
       wake = std::min(wake, request->deadline + std::chrono::microseconds{1});
     }
-    not_full_.wait_until(wake, [&] {
+    nap_until(not_full_, wake, now + kBackpressureNap, nap_rescues_, [&] {
       return stopping_.load(std::memory_order_relaxed) ||
              queue_count_.load(std::memory_order_relaxed) <
                  config_.queue_capacity;
@@ -598,7 +614,14 @@ PricingService::AdmitOutcome PricingService::admit_one(Request* request) {
   // With a credit held the ring has logical room; a failed push only
   // means a consumer is mid-recycle on that slot — yield and retry.
   while (!ring_.try_push(request)) std::this_thread::yield();
+  // Idle workers wake on every arrival; a lingering one only once the
+  // ring can fill its batch. notify()'s seq_cst fence orders the push
+  // before the need is read.
   not_empty_.notify();
+  const std::size_t need = linger_need_.load(std::memory_order_relaxed);
+  if (need != 0 && queue_count_.load(std::memory_order_relaxed) >= need) {
+    linger_gate_.notify();
+  }
   return {AdmitResult::kAdmitted};
 }
 
@@ -735,10 +758,12 @@ bool PricingService::collect_batch(Worker& self, std::vector<Request*>& out,
         !router_.should_claim(self.index, std::min(limit, queued))) {
       // A peer is the better placement: leave the chunk to it and look
       // again once some worker claims or settles a batch.
-      placement_changed_.wait_until(now + kIdleNap, [&] {
-        return stopping_.load(std::memory_order_relaxed) ||
-               placement_epoch_.load(std::memory_order_relaxed) != epoch;
-      });
+      nap_until(placement_changed_, now + kIdleNap, now + kIdleNap,
+                nap_rescues_, [&] {
+                  return stopping_.load(std::memory_order_relaxed) ||
+                         placement_epoch_.load(std::memory_order_relaxed) !=
+                             epoch;
+                });
       continue;
     }
     pop_available(now, out, limit, self, probing);
@@ -757,7 +782,7 @@ bool PricingService::collect_batch(Worker& self, std::vector<Request*>& out,
         if (request->has_ready_at) wake = std::min(wake, request->ready_at);
       }
     }
-    not_empty_.wait_until(wake, [&] {
+    nap_until(not_empty_, wake, now + kIdleNap, nap_rescues_, [&] {
       return stopping_.load(std::memory_order_relaxed) ||
              queue_count_.load(std::memory_order_relaxed) > 0 ||
              retry_ready(std::chrono::steady_clock::now());
@@ -766,9 +791,12 @@ bool PricingService::collect_batch(Worker& self, std::vector<Request*>& out,
 
   // Micro-batching: hold a partial batch open for up to `linger` so that a
   // burst of single submits coalesces into one NDRange launch instead of
-  // many tiny ones. Stop early on a full batch, on shutdown, or once every
-  // request in it belongs to a blocking book that is wholly admitted:
-  // nothing more can arrive for those callers.
+  // many tiny ones. The worker sleeps on linger_gate_, which admission
+  // notifies only once the ring can fill the batch; a marked book, a
+  // requeue and shutdown notify it too. It stops early on a full batch,
+  // on shutdown, or once every request in it belongs to a blocking book
+  // that is wholly admitted: nothing more can arrive for those callers.
+  // Otherwise it drains the ring in one pop at the deadline.
   if (out.size() < limit &&
       config_.linger > std::chrono::microseconds::zero() &&
       !stopping_.load(std::memory_order_acquire)) {
@@ -779,26 +807,38 @@ bool PricingService::collect_batch(Worker& self, std::vector<Request*>& out,
         return request->sink->admitted.load(std::memory_order_acquire);
       });
     };
+    // The need this worker published in linger_need_; 0 while a peer
+    // holds it (this worker then wakes on the peer's notifies or at its
+    // deadline).
+    std::size_t published = 0;
     for (;;) {
       // Read before the pop: a book is marked only after its last push, so
       // once the mark reads true, one more pop takes every request of it
       // that fits and the batch closes.
       const bool admitted = books_admitted();
-      if (!admitted && !not_empty_.wait_until(linger_deadline, [&] {
-            return stopping_.load(std::memory_order_relaxed) ||
-                   queue_count_.load(std::memory_order_relaxed) > 0 ||
-                   retry_ready(std::chrono::steady_clock::now()) ||
-                   books_admitted();
-          })) {
-        break;  // linger window expired
+      bool expired = false;
+      if (!admitted) {
+        const std::size_t need = limit - out.size();
+        std::size_t held = published;
+        if (linger_need_.compare_exchange_strong(held, need)) published = need;
+        expired = !linger_gate_.wait_until(linger_deadline, [&] {
+          return stopping_.load(std::memory_order_relaxed) ||
+                 queue_count_.load(std::memory_order_relaxed) >= need ||
+                 retry_ready(std::chrono::steady_clock::now()) ||
+                 books_admitted();
+        });
+        if (!expired) {
+          linger_early_wakes_.fetch_add(1, std::memory_order_relaxed);
+        }
       }
       pop_available(std::chrono::steady_clock::now(), out, limit, self,
                     probing);
-      if (admitted || out.size() >= limit ||
+      if (expired || admitted || out.size() >= limit ||
           stopping_.load(std::memory_order_acquire)) {
         break;
       }
     }
+    if (published != 0) linger_need_.store(0, std::memory_order_release);
   }
   publish_in_flight(self.index, out.size());
   return true;
@@ -820,6 +860,7 @@ void PricingService::requeue(Request* const* requests, std::size_t n) {
     retry_count_.store(retry_queue_.size(), std::memory_order_release);
   }
   not_empty_.notify();
+  linger_gate_.notify();
 }
 
 void PricingService::run_alternate(
@@ -1310,6 +1351,8 @@ ServiceStats PricingService::stats() const {
   total.requests_shed_normal = shed_normal_.load();
   total.requests_shed_batch = shed_batch_.load();
   total.admission_timeouts = admission_timeouts_.load();
+  total.linger_early_wakes = linger_early_wakes_.load();
+  total.nap_rescues = nap_rescues_.load();
   // Admission-deadline expiries are timeouts the client observed: fold
   // them into the headline counter (admission_timeouts stays readable as
   // the documented subset).

@@ -673,6 +673,16 @@ private:
   /// submitters on not_full_. Untouched while the queues keep moving.
   service::EventGate not_empty_;
   service::EventGate not_full_;
+  /// A worker lingering on a partial batch parks on linger_gate_, not on
+  /// not_empty_, and publishes how many more requests would fill its
+  /// batch in linger_need_ (0: nobody lingers). Admission notifies the
+  /// gate only once queue_count_ reaches that need; a marked book, a
+  /// requeue and shutdown notify it too. Any other arrival costs the
+  /// submitter a fence and a few loads, no lock, and the worker sleeps to
+  /// its linger deadline. One lingering worker at a time owns
+  /// linger_need_; another lingers unpublished (DESIGN.md §2.3).
+  alignas(64) std::atomic<std::size_t> linger_need_{0};
+  service::EventGate linger_gate_;
   /// Workers that declined a chunk park on placement_changed_ until a
   /// peer claims or settles a batch (placement_epoch_ moves). Its notify
   /// is one atomic load while nobody declined, so routing off never pays
@@ -702,6 +712,10 @@ private:
   /// on backpressure (satellite 1) — a documented subset of
   /// requests_timed_out, folded in by stats().
   std::atomic<std::uint64_t> admission_timeouts_{0};
+  /// Wake-up accounting (ServiceStats::linger_early_wakes / nap_rescues),
+  /// bumped by workers and submitters alike.
+  std::atomic<std::uint64_t> linger_early_wakes_{0};
+  std::atomic<std::uint64_t> nap_rescues_{0};
   /// Admissions that never blocked: folded into admission_block_ns as
   /// zero-valued samples at stats() time via record_many, keeping the
   /// uncontended admission path free of the histogram lock.

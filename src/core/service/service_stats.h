@@ -52,6 +52,12 @@ namespace binopt::core::service {
 ///   collection time, before occupying an accelerator batch slot.
 ///   brownout_completions is the SUBSET of requests_completed answered by
 ///   the cheaper brownout configuration (Quote::browned_out).
+///   Wake-ups (DESIGN.md §2.3): linger_early_wakes counts lingering
+///   workers woken before their linger deadline (a batch the ring can
+///   fill, a marked book, a requeue, shutdown); nap_rescues counts
+///   safety-net naps (idle, backpressure, declined claim) that ran to
+///   their bound and only then found their condition true, i.e. lost
+///   wake-ups.
 #define BINOPT_SERVICE_STATS_COUNTERS(X) \
   X(requests_submitted)                  \
   X(requests_completed)                  \
@@ -77,7 +83,9 @@ namespace binopt::core::service {
   X(requests_shed_batch)                 \
   X(admission_timeouts)                  \
   X(eager_deadline_drops)                \
-  X(brownout_completions)
+  X(brownout_completions)                \
+  X(linger_early_wakes)                  \
+  X(nap_rescues)
 
 struct ServiceStats {
 #define BINOPT_SERVICE_STATS_DECLARE(field) std::uint64_t field = 0;

@@ -179,6 +179,41 @@ TEST(EventGate, WaitTimesOutWhenPredicateStaysFalse) {
   EXPECT_GE(std::chrono::steady_clock::now() - start, 20ms);
 }
 
+TEST(EventGate, ReportsOnlyAWakeUpTheDeadlineHadToRecover) {
+  // The predicate turns true without a notify: only the deadline ends the
+  // wait, and the gate reports the wake-up as lost.
+  EventGate gate;
+  std::atomic<bool> flag{false};
+  bool lost = false;
+  std::thread silent([&] {
+    std::this_thread::sleep_for(5ms);
+    flag.store(true, std::memory_order_relaxed);
+  });
+  EXPECT_TRUE(gate.wait_until(
+      std::chrono::steady_clock::now() + 30ms,
+      [&] { return flag.load(std::memory_order_relaxed); }, &lost));
+  silent.join();
+  EXPECT_TRUE(lost);
+
+  // A notified wake-up, and a wait that times out with the predicate
+  // still false, lost nothing.
+  flag.store(false, std::memory_order_relaxed);
+  std::thread notifier([&] {
+    std::this_thread::sleep_for(5ms);
+    flag.store(true, std::memory_order_relaxed);
+    gate.notify();
+  });
+  EXPECT_TRUE(gate.wait_until(
+      std::chrono::steady_clock::now() + 5s,
+      [&] { return flag.load(std::memory_order_relaxed); }, &lost));
+  notifier.join();
+  EXPECT_FALSE(lost);
+  lost = true;
+  EXPECT_FALSE(gate.wait_until(std::chrono::steady_clock::now() + 5ms,
+                               [] { return false; }, &lost));
+  EXPECT_FALSE(lost);
+}
+
 TEST(SlabArena, AcquireYieldsDistinctStableSlots) {
   SlabArena<std::uint64_t> arena(8, /*slab_size=*/4);
   std::set<std::uint64_t*> slots;

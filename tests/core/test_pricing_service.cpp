@@ -330,8 +330,8 @@ TEST(ServiceStats, MergeMinusAndVisitorAgree) {
     ++fields;
   });
   EXPECT_EQ(visited_total, 12u + 2u + 3u);
-  EXPECT_EQ(fields, 25u);  // X-macro (9 core + 9 robustness + 2 routing +
-                           // 5 overload)
+  EXPECT_EQ(fields, 27u);  // X-macro (9 core + 9 robustness + 2 routing +
+                           // 5 overload + 2 wake-up)
 }
 
 TEST(ServiceStats, PerBackendVectorsMergeCommutativelyUnderLoadSkew) {
@@ -545,7 +545,7 @@ TEST(ServiceStats, HistogramsTravelThroughMergeAndMinus) {
   // their own accessors, and the X-macro field count is pinned elsewhere.
   std::size_t fields = 0;
   sum.for_each_counter([&](const char*, std::uint64_t) { ++fields; });
-  EXPECT_EQ(fields, 25u);
+  EXPECT_EQ(fields, 27u);
 }
 
 // --- Front-ends -----------------------------------------------------------
@@ -621,6 +621,96 @@ TEST(PricingService, SingleSubmitsStillCoalesceInTheLinger) {
   EXPECT_GT(first.get().price, 0.0);
   EXPECT_GT(second.get().price, 0.0);
   EXPECT_EQ(service.stats().batches_launched, 1u);
+}
+
+TEST(PricingService, LingeringWorkerIsNotWokenPerArrival) {
+  // Five singles arrive 1ms apart inside one 200ms linger. None of them
+  // can fill the batch, so the worker sleeps to its deadline and takes
+  // all five in one pop.
+  ServiceConfig config = small_config(Target::kCpuReference);
+  config.linger = 200ms;
+  PricingService service(config);
+  const auto batch = finance::make_curve_batch(5);
+  std::vector<std::future<Quote>> futures;
+  for (const auto& spec : batch) {
+    futures.push_back(service.submit(spec));
+    std::this_thread::sleep_for(1ms);
+  }
+  for (auto& future : futures) EXPECT_GT(future.get().price, 0.0);
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.batches_launched, 1u);
+  EXPECT_EQ(stats.linger_early_wakes, 0u);
+}
+
+TEST(PricingService, FullBatchEndsTheLingerAtOnce) {
+  // The fourth single fills the batch: admission wakes the lingering
+  // worker, which launches without waiting out its 500ms.
+  ServiceConfig config = small_config(Target::kCpuReference);
+  config.max_batch = 4;
+  config.linger = 500ms;
+  PricingService service(config);
+  const auto batch = finance::make_curve_batch(4);
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::future<Quote>> futures;
+  for (const auto& spec : batch) futures.push_back(service.submit(spec));
+  for (auto& future : futures) EXPECT_GT(future.get().price, 0.0);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 250ms);
+  EXPECT_EQ(service.stats().batches_launched, 1u);
+}
+
+TEST(PricingService, FailoverWakesALingeringPeer) {
+  // Worker 0 loses its device on its first launch, after a 300ms stall
+  // that holds the failing batch open. Meanwhile worker 1 collects a
+  // single quote and lingers on it (max_batch 2, so one request fills the
+  // batch). The failover requeues with no backoff, and its notify must
+  // end worker 1's linger: the failed-over request resolves on worker 1
+  // at about the stall's end, not at worker 1's 500ms deadline.
+  ServiceConfig config;
+  config.targets.assign(2, Target::kFpgaKernelB);
+  config.steps = kSteps;
+  config.max_batch = 2;
+  config.linger = 500ms;
+  config.worker_fault_plans = {
+      ocl::faults::parse_fault_plan("stall@1,ms=300;device-lost@1"),
+      ocl::faults::FaultPlan{}};
+  const auto batch = finance::make_curve_batch(2);
+  const std::vector<double> expected =
+      direct_prices(Target::kFpgaKernelB, batch);
+  const std::uint32_t tag = 0;
+  // Which idle worker collects the first (blocking, so unlingered) book
+  // is up to the scheduler; an attempt where worker 1 priced it says
+  // nothing, so it starts over with a fresh service.
+  bool exercised = false;
+  for (int attempt = 0; attempt < 20 && !exercised; ++attempt) {
+    PricingService service(config);
+    Quote failed_over;
+    const auto start = std::chrono::steady_clock::now();
+    std::chrono::steady_clock::duration failed_over_latency{};
+    std::thread caller([&] {
+      service.price_book_blocking(&batch[0], &tag, 1, &failed_over);
+      failed_over_latency = std::chrono::steady_clock::now() - start;
+    });
+    while (service.queued_requests() != 0) std::this_thread::sleep_for(100us);
+    std::this_thread::sleep_for(100ms);
+    if (service.stats().requests_completed != 0) {
+      caller.join();  // worker 1 priced it; worker 0 never launched
+      continue;
+    }
+    // Worker 0 is inside its stall, so idle worker 1 lingers on this one.
+    const Quote single = service.submit(batch[1]).get();
+    caller.join();
+    exercised = true;
+    EXPECT_EQ(failed_over.price, expected[0]);
+    EXPECT_EQ(single.price, expected[1]);
+    EXPECT_LT(failed_over_latency, 450ms);
+    const auto stats = service.stats();
+    EXPECT_EQ(stats.failovers, 1u);
+    EXPECT_EQ(stats.requests_misrouted, 1u);
+    // Worker 0's failed launch, then both requests in worker 1's batch.
+    EXPECT_EQ(stats.batches_launched, 2u);
+    EXPECT_GE(stats.linger_early_wakes, 1u);
+  }
+  EXPECT_TRUE(exercised) << "worker 0 never collected the first book";
 }
 
 TEST(PricingService, ShutdownMidBurstResolvesEverySubmittedFuture) {
