@@ -58,7 +58,9 @@
 // bound the ring's logical occupancy to queue_capacity with an atomic
 // admission credit, so backpressure semantics are exactly the old mutexed
 // queue's while the push/pop themselves are CAS-only; threads park on
-// EventGates only when genuinely idle. Retries and failovers ride a small
+// EventGates only when genuinely idle, and a worker lingering on a partial
+// batch parks on a gate of its own that only a fill, a marked book, a
+// requeue or shutdown wakes. Retries and failovers ride a small
 // mutexed side queue (they need ready_at-ordered scanning, and they are
 // rare by construction), guarded by an atomic counter so the fault-free
 // hot path never takes its lock.
